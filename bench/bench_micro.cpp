@@ -13,12 +13,12 @@
 #include "bench_json.hpp"
 #include "core/planner.hpp"
 #include "core/plrg.hpp"
-#include "core/replay.hpp"
 #include "core/slrg.hpp"
 #include "domains/media.hpp"
 #include "expr/parser.hpp"
 #include "expr/program.hpp"
 #include "model/compile.hpp"
+#include "model/replay.hpp"
 #include "support/trace.hpp"
 
 namespace {
@@ -97,10 +97,10 @@ void BM_ReplayPlanTail(benchmark::State& state) {
     state.SkipWithError("no plan");
     return;
   }
-  core::Replayer replayer(cp);
+  model::Replayer replayer(cp);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        replayer.replay(r.plan->steps, /*from_init=*/true, core::ReplayMode::Optimistic));
+        replayer.replay(r.plan->steps, /*from_init=*/true, model::ReplayMode::Optimistic));
   }
 }
 BENCHMARK(BM_ReplayPlanTail);

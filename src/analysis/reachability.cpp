@@ -13,7 +13,7 @@ namespace {
 /// Values a consumer can draw from a producible hull `have`, before meeting
 /// the slot's level interval: a degradable stream can be consumed at any
 /// value up to what is attainably available, an upgradable one at any value
-/// from its floor up (the shift rules of core/replay.cpp, hull-side).
+/// from its floor up (the shift rules of model/replay.cpp, hull-side).
 Interval usable_values(Interval have, LevelTag tag) {
   switch (tag) {
     case LevelTag::Degradable: return {0.0, have.hi, have.hi_open};

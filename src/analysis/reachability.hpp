@@ -8,7 +8,7 @@
 //   * every logical precondition has been reached,
 //   * every input slot still has usable values once the producible hull is
 //     shifted by the slot's degradable/upgradable tag and met with the
-//     slot's optimistic level interval (mirroring core/replay.cpp's merge),
+//     slot's optimistic level interval (mirroring model/replay.cpp's merge),
 //   * every condition is satisfiable over those narrowed slots, and
 //   * every produced output still intersects its asserted level interval
 //     after the effects run over the narrowed inputs.

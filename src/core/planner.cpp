@@ -199,8 +199,9 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
   rg_opts.max_expansions = options_.max_rg_expansions;
   rg_opts.forbid_repeated_actions = options_.forbid_repeated_actions;
   rg_opts.symmetry_pruning = options_.symmetry_pruning;
-  rg_opts.replay_mode = options_.mode == PlannerOptions::Mode::Greedy ? ReplayMode::WorstCase
-                                                                      : ReplayMode::Optimistic;
+  rg_opts.replay_mode = options_.mode == PlannerOptions::Mode::Greedy
+                            ? model::ReplayMode::WorstCase
+                            : model::ReplayMode::Optimistic;
   rg_opts.progress = options_.progress;
   rg_opts.progress_every = options_.progress_every;
   rg_opts.stop = options_.stop;

@@ -10,7 +10,7 @@
 // Structure: an AND/OR graph.  Proposition cost = min over supporting
 // actions; action cost = its own (leveled) cost + max over precondition
 // costs.  Built by backward relevance expansion from the goal, then solved
-// to a fixpoint.
+// to a fixpoint — both shared with the CP bound (model/hmax.hpp).
 #pragma once
 
 #include <functional>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "model/compile.hpp"
+#include "model/hmax.hpp"
 #include "support/stop_token.hpp"
 
 namespace sekitei::core {
@@ -51,21 +52,18 @@ class Plrg {
 
   /// Actions reachable in the backward expansion — the planner only ever
   /// branches over these.
-  [[nodiscard]] const std::vector<ActionId>& relevant_actions() const { return rel_actions_; }
-  [[nodiscard]] bool relevant(ActionId a) const { return action_seen_[a.index()]; }
+  [[nodiscard]] const std::vector<ActionId>& relevant_actions() const { return graph_.actions; }
+  [[nodiscard]] bool relevant(ActionId a) const { return graph_.action_marks[a.index()]; }
 
-  [[nodiscard]] std::size_t prop_nodes() const { return rel_props_.size(); }
-  [[nodiscard]] std::size_t action_nodes() const { return rel_actions_.size(); }
+  [[nodiscard]] std::size_t prop_nodes() const { return graph_.props.size(); }
+  [[nodiscard]] std::size_t action_nodes() const { return graph_.actions.size(); }
 
  private:
   const model::CompiledProblem& cp_;
   CostFn cost_fn_;
   StopToken stop_;
-  std::vector<double> prop_cost_;    // by PropId; +inf = unreachable
-  std::vector<bool> prop_seen_;      // relevance marks
-  std::vector<bool> action_seen_;
-  std::vector<PropId> rel_props_;
-  std::vector<ActionId> rel_actions_;
+  model::RelevantGraph graph_;
+  std::vector<double> prop_cost_;  // by PropId; +inf = unreachable
 };
 
 }  // namespace sekitei::core

@@ -59,7 +59,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     }
   };
   std::priority_queue<Open> open;
-  Replayer replayer(cp_);
+  model::Replayer replayer(cp_);
   pool_.clear();
 
   pool_.push_back(Node{ActionId{}, 0, goal_set, 0.0});

@@ -8,7 +8,7 @@
 //  The RG is a tree, while the PLRG and SLRG are general graphs."
 //
 // Every expansion replays the tail through the optimistic resource maps
-// (core/replay.hpp) and prunes on failure — the early detection of
+// (model/replay.hpp) and prunes on failure — the early detection of
 // quality-of-service violations the paper highlights.  The search ends when
 // a node's proposition set holds in the initial state AND the tail replays
 // in the initial-state resource map (plus an optional external concrete
@@ -19,9 +19,9 @@
 #include <optional>
 
 #include "core/plan.hpp"
-#include "core/replay.hpp"
 #include "core/slrg.hpp"
 #include "core/stats.hpp"
+#include "model/replay.hpp"
 #include "support/stop_token.hpp"
 
 namespace sekitei::core {
@@ -50,7 +50,7 @@ class Rg {
     bool symmetry_pruning = true;
     /// Replay semantics for both search-time tail replays and the final
     /// initial-state check.  WorstCase reproduces the greedy baseline.
-    ReplayMode replay_mode = ReplayMode::Optimistic;
+    model::ReplayMode replay_mode = model::ReplayMode::Optimistic;
     /// Observer invoked every `progress_every` expansions with the live
     /// stats snapshot (see PlannerOptions::progress).
     std::function<void(const PlannerStats&)> progress;

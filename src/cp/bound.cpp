@@ -2,46 +2,15 @@
 
 #include <algorithm>
 
+#include "model/hmax.hpp"
+
 namespace sekitei::cp {
 
 Bound::Bound(const model::CompiledProblem& cp) : cp_(cp) {
-  const std::size_t np = cp_.props.size();
-  const std::size_t na = cp_.actions.size();
-
-  prop_cost_.assign(np, kInf);
-  for (PropId p : cp_.init_props) prop_cost_[p.index()] = 0.0;
-
-  // Fixpoint sweeps: costs only decrease and every decrease traces back to a
-  // shorter support chain, so np + 1 sweeps always suffice.
-  std::vector<double> via(na, kInf);
-  for (std::size_t sweep = 0; sweep <= np; ++sweep) {
-    for (std::size_t a = 0; a < na; ++a) {
-      const model::GroundAction& act = cp_.actions[a];
-      double pre_max = 0.0;
-      for (PropId q : act.pre) {
-        const double c = prop_cost_[q.index()];
-        if (c == kInf) {
-          pre_max = kInf;
-          break;
-        }
-        pre_max = std::max(pre_max, c);
-      }
-      via[a] = pre_max == kInf ? kInf : pre_max + act.cost_lb;
-    }
-    bool changed = false;
-    for (std::size_t p = 0; p < np; ++p) {
-      if (prop_cost_[p] == 0.0) continue;
-      double best = prop_cost_[p];
-      for (ActionId a : cp_.achievers_of(PropId(static_cast<std::uint32_t>(p)))) {
-        best = std::min(best, via[a.index()]);
-      }
-      if (best < prop_cost_[p]) {
-        prop_cost_[p] = best;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  const model::RelevantGraph graph = model::relevant_graph(cp_, cp_.goal_props);
+  std::vector<double> action_cost(cp_.actions.size());
+  for (std::size_t a = 0; a < action_cost.size(); ++a) action_cost[a] = cp_.actions[a].cost_lb;
+  model::hmax_fixpoint(cp_, graph.props, graph.actions, action_cost, prop_cost_);
 
   std::uint32_t comp_count = 0;
   for (const model::GroundAction& act : cp_.actions) {

@@ -2,12 +2,11 @@
 //
 // Two relaxations, combined by max():
 //
-//  * hmax over the achiever graph: prop_cost[p] = 0 when p holds initially,
-//    else min over achievers a of cost_lb(a) + max over a's preconditions.
-//    Computed once per problem by fixpoint sweeps.  Using achievers_of()
-//    (which includes degradable/upgradable cross-level closure support)
-//    rather than raw effect lists keeps the bound aligned with — and hence
-//    admissible for — the regression the search actually performs.
+//  * hmax over the achiever graph: the PLRG's cost fixpoint
+//    (model/hmax.hpp) at leveled costs, solved once per problem over the
+//    goal-relevant subgraph.  Every state the search reaches is a regression
+//    from the goal over achievers_of(), so all its propositions lie in that
+//    subgraph, where their costs equal the whole-graph ones.
 //
 //  * per-component best-level relaxation: every open placed(C, n)
 //    proposition needs a place action of component C in the remaining tail,
@@ -32,7 +31,7 @@ class Bound {
   /// state; kInf when no logical action sequence can.
   [[nodiscard]] double estimate(const std::vector<PropId>& state);
 
-  /// Whether `p` is reachable at all (hmax < inf).
+  /// Whether the goal-relevant `p` is reachable at all (hmax < inf).
   [[nodiscard]] bool reachable(PropId p) const { return prop_cost_[p.index()] < kInf; }
 
  private:

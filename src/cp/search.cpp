@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "cp/bound.hpp"
-#include "cp/propagate.hpp"
+#include "model/replay.hpp"
 #include "support/log.hpp"
 #include "support/sorted_vec.hpp"
 #include "support/timer.hpp"
@@ -29,7 +29,7 @@ std::vector<PropId> regress(const model::CompiledProblem& cp, const std::vector<
 class Search {
  public:
   Search(const model::CompiledProblem& cp, const Options& options, Bound& bound)
-      : cp_(cp), opt_(options), bound_(bound), prop_(cp) {}
+      : cp_(cp), opt_(options), bound_(bound), replayer_(cp) {}
 
   Result run();
 
@@ -58,7 +58,7 @@ class Search {
   const model::CompiledProblem& cp_;
   const Options& opt_;
   Bound& bound_;
-  Propagator prop_;
+  model::Replayer replayer_;
   Stats st_;
 
   std::vector<Node> pool_;
@@ -122,7 +122,7 @@ void Search::enter(std::uint32_t idx) {
     return;
   }
   if (st_.branches % tick_every_ == 0) {
-    st_.propagations = prop_.calls();
+    st_.propagations = replayer_.calls();
     SEKITEI_LOG_TRACE("cp.search", "progress", log::kv("branches", st_.branches),
                       log::kv("nodes", st_.nodes), log::kv("depth", stack_.size()),
                       log::kv("f", current_f_));
@@ -144,7 +144,7 @@ void Search::enter(std::uint32_t idx) {
   // guarantees g < incumbent here, so any accepted assignment improves.
   if (sorted_subset(state, cp_.init_props)) {
     std::vector<ActionId> tail = tail_of(idx);
-    if (prop_.propagate(tail, /*from_init=*/true)) {
+    if (replayer_.replay(tail, /*from_init=*/true, model::ReplayMode::Optimistic)) {
       bool accepted = true;
       if (opt_.validate) accepted = opt_.validate(tail, g);
       if (accepted) {
@@ -236,7 +236,7 @@ void Search::enter(std::uint32_t idx) {
     }
     const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
     pool_.push_back(Node{a, idx, std::move(nxt), g2});
-    if (!prop_.propagate(tail_of(child), /*from_init=*/false)) {
+    if (!replayer_.replay(tail_of(child), /*from_init=*/false, model::ReplayMode::Optimistic)) {
       ++st_.pruned_by_propagation;
       pool_.pop_back();
       continue;
@@ -318,7 +318,7 @@ Result Search::run() {
                       log::kv("branches", st_.branches));
   }
 
-  st_.propagations = prop_.calls();
+  st_.propagations = replayer_.calls();
   st_.search_ms = watch.elapsed_ms();
 
   if (!abort_) {

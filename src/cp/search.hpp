@@ -6,20 +6,22 @@
 // plan tail.  The search is depth-first branch-and-bound: dive best-bound
 // first, record validated incumbents, and prune any partial assignment whose
 // g + lower bound reaches the incumbent's cost.  Constraint propagation
-// (cp::Propagator) rejects partial assignments whose interval store empties;
-// admissible bounds (cp::Bound) come from hmax plus per-component best-level
-// relaxations.
+// runs the partial assignment's tail through the shared replay kernel
+// (model::Replayer, Optimistic mode) and rejects it when the optimistic map
+// empties; admissible bounds (cp::Bound) come from the shared hmax fixpoint
+// (model/hmax.hpp) plus per-component best-level relaxations.
 //
 // Symmetry breaking: the node equivalence classes attached by
 // analysis::attach_symmetry become lex-leader constraints — a fresh node of
 // a class may only be introduced if every smaller unused twin is, too
 // (identical to the RG rule, toggleable for CP-with-vs-without experiments).
 //
-// The regression move set, propagation semantics, pruning rules and
-// acceptance checks mirror the RG search exactly.  That is deliberate: both
-// backends then provably agree on feasibility and optimal cost while sharing
-// no search code, which is what makes CP an independent optimality oracle
-// for the fuzzer (`--oracles cp`) and a comparable competitor in bench_cp.
+// The backends share the planning semantics, which live once in src/model:
+// the replay kernel and the hmax fixpoint.  The regression move set, pruning
+// rules and acceptance checks mirror the RG search.  So both backends agree
+// on feasibility and optimal cost by construction and differ only in
+// search, which is what makes CP an independent optimality oracle for the
+// fuzzer (`--oracles cp`) and a comparable competitor in bench_cp.
 #pragma once
 
 #include <cstdint>

@@ -78,4 +78,30 @@ class VarRegistry {
   std::unordered_map<VarKey, VarId, VarKeyHash> index_;
 };
 
+/// Dense VarId -> T map with O(1) epoch-based clearing, so replays
+/// (T = Interval) and concrete executions (T = double) do not allocate after
+/// warm-up.
+template <class T>
+class VarMap {
+ public:
+  void reset(std::size_t var_count) {
+    if (vals_.size() < var_count) {
+      vals_.resize(var_count);
+      epoch_.resize(var_count, 0);
+    }
+    ++cur_;
+  }
+  [[nodiscard]] bool has(VarId v) const { return epoch_[v.index()] == cur_; }
+  [[nodiscard]] T get(VarId v) const { return vals_[v.index()]; }
+  void set(VarId v, T x) {
+    vals_[v.index()] = x;
+    epoch_[v.index()] = cur_;
+  }
+
+ private:
+  std::vector<T> vals_;
+  std::vector<std::uint32_t> epoch_;
+  std::uint32_t cur_ = 0;
+};
+
 }  // namespace sekitei::model

@@ -47,29 +47,6 @@ std::size_t Executor::choice_count() const {
 
 namespace {
 
-/// Dense concrete-value map mirroring core::ResourceMap.
-class ValueMap {
- public:
-  void reset(std::size_t n) {
-    if (vals_.size() < n) {
-      vals_.resize(n);
-      epoch_.resize(n, 0);
-    }
-    ++cur_;
-  }
-  [[nodiscard]] bool has(VarId v) const { return epoch_[v.index()] == cur_; }
-  [[nodiscard]] double get(VarId v) const { return vals_[v.index()]; }
-  void set(VarId v, double x) {
-    vals_[v.index()] = x;
-    epoch_[v.index()] = cur_;
-  }
-
- private:
-  std::vector<double> vals_;
-  std::vector<std::uint32_t> epoch_;
-  std::uint32_t cur_ = 0;
-};
-
 constexpr double kEps = 1e-9;
 
 }  // namespace
@@ -77,7 +54,7 @@ constexpr double kEps = 1e-9;
 ExecutionReport Executor::attempt(const core::Plan& plan, std::span<const double> choices) {
   ++attempts_;
   ExecutionReport rep;
-  ValueMap values;
+  model::VarMap<double> values;
   values.reset(cp_.vars.size());
 
   // Load the initial state; choice intervals take the supplied values.

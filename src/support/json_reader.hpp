@@ -3,7 +3,9 @@
 // diagnostics, Chrome trace-event files) without pulling in a JSON library.
 // The writer half lives in support/json.hpp; the two share the
 // sekitei::json namespace.  Numbers parse as double; \uXXXX escapes decode
-// to UTF-8 (no surrogate pairs — the planner never emits them).
+// to UTF-8 (no surrogate pairs — the planner never emits them).  Nesting is
+// capped at kMaxDepth so a hostile document (the wire codec parses every
+// frame body) fails with a parse error instead of overflowing the stack.
 #pragma once
 
 #include <cstdlib>
@@ -44,6 +46,9 @@ struct Value {
     return it == obj->end() ? nullptr : &it->second;
   }
 };
+
+/// Deepest array/object nesting the reader accepts.
+inline constexpr std::size_t kMaxDepth = 256;
 
 class Parser {
  public:
@@ -93,8 +98,14 @@ class Parser {
 
   bool value(Value& out) {
     switch (peek()) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return fail("nesting too deep");
+        ++depth_;
+        const bool ok = peek() == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = Value::Kind::String;
         return string(out.str);
@@ -234,6 +245,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::string error_;
 };
 

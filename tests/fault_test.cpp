@@ -192,5 +192,27 @@ TEST_F(FaultTest, ReplayValidateFaultNeverHangsTheRequest) {
   EXPECT_EQ(engine.plan(std::move(retry)).outcome, service::Outcome::Solved);
 }
 
+TEST_F(FaultTest, ReplayValidateFaultReachesTheCpAcceptanceCheck) {
+  // CP accepts a complete assignment through the same from-init replay as
+  // the RG, so the point fires inside a mode: cp solve too.
+  service::PlanningEngine engine({.workers = 1});
+  fault::arm("replay.validate", 1, fault::Mode::Fail);
+
+  service::PlanRequest req;
+  req.problem = tiny_loaded();
+  req.mode = core::PlannerOptions::Mode::Cp;
+  const service::PlanResponse r = engine.plan(std::move(req));
+  EXPECT_EQ(fault::armed_count(), 0u) << "the CP solve never reached replay.validate";
+  EXPECT_TRUE(r.outcome == service::Outcome::Solved ||
+              r.outcome == service::Outcome::Infeasible)
+      << service::outcome_name(r.outcome);
+  EXPECT_EQ(engine.pending(), 0u);
+
+  service::PlanRequest retry;
+  retry.problem = tiny_loaded();
+  retry.mode = core::PlannerOptions::Mode::Cp;
+  EXPECT_EQ(engine.plan(std::move(retry)).outcome, service::Outcome::Solved);
+}
+
 }  // namespace
 }  // namespace sekitei

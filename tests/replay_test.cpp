@@ -1,13 +1,13 @@
-// Unit tests for the optimistic-map replay engine (core/replay) — the Fig. 8
+// Unit tests for the optimistic-map replay engine (model/replay) — the Fig. 8
 // machinery: interval merging, degradable/upgradable shifts, condition
 // narrowing, effect execution and the greedy worst-case mode.
 #include <gtest/gtest.h>
 
-#include "core/replay.hpp"
 #include "domains/media.hpp"
 #include "model/compile.hpp"
+#include "model/replay.hpp"
 
-namespace sekitei::core {
+namespace sekitei::model {
 namespace {
 
 using domains::media::scenario;
@@ -184,4 +184,4 @@ TEST(Replay, ResourceMapEpochReuseIsClean) {
 }
 
 }  // namespace
-}  // namespace sekitei::core
+}  // namespace sekitei::model

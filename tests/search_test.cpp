@@ -7,6 +7,7 @@
 #include "core/slrg.hpp"
 #include "domains/media.hpp"
 #include "model/compile.hpp"
+#include "model/hmax.hpp"
 #include "sim/executor.hpp"
 
 namespace sekitei::core {
@@ -73,6 +74,39 @@ TEST(Plrg, RelevantActionsAreSubsetOfAll) {
   EXPECT_GT(plrg.action_nodes(), 0u);
   EXPECT_LE(plrg.action_nodes(), cp.actions.size());
   for (ActionId a : plrg.relevant_actions()) EXPECT_TRUE(plrg.relevant(a));
+}
+
+TEST(Hmax, GoalRelevantFixpointEqualsWholeGraphFixpoint) {
+  // The PLRG and the CP bound both solve the fixpoint on the goal-relevant
+  // subgraph only.  Every regression state lies in that subgraph, so this
+  // equality is what makes the restriction lose nothing.
+  for (const char size : {'T', 'S', 'L'}) {
+    const auto inst = size == 'T'   ? domains::media::tiny()
+                      : size == 'S' ? domains::media::small()
+                                    : domains::media::large();
+    for (const char sc : {'B', 'C', 'D', 'E'}) {
+      SCOPED_TRACE((std::string{size, '/', sc}));
+      const auto cp = model::compile(inst->problem, scenario(sc));
+      std::vector<double> action_cost(cp.actions.size());
+      for (std::size_t a = 0; a < action_cost.size(); ++a) {
+        action_cost[a] = cp.actions[a].cost_lb;
+      }
+      std::vector<PropId> all_props;
+      for (std::uint32_t p = 0; p < cp.props.size(); ++p) all_props.emplace_back(p);
+      std::vector<ActionId> all_actions;
+      for (std::uint32_t a = 0; a < cp.actions.size(); ++a) all_actions.emplace_back(a);
+
+      const model::RelevantGraph rel = model::relevant_graph(cp, cp.goal_props);
+      std::vector<double> restricted;
+      std::vector<double> whole;
+      model::hmax_fixpoint(cp, rel.props, rel.actions, action_cost, restricted);
+      model::hmax_fixpoint(cp, all_props, all_actions, action_cost, whole);
+      ASSERT_FALSE(rel.props.empty());
+      for (PropId p : rel.props) {
+        EXPECT_EQ(restricted[p.index()], whole[p.index()]) << cp.describe(p);
+      }
+    }
+  }
 }
 
 TEST(Slrg, GoalSetCostDominatesPlrg) {

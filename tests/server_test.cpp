@@ -187,6 +187,25 @@ TEST(Server, MalformedBodyKeepsSessionAlive) {
   daemon.stop();
 }
 
+TEST(Server, DeeplyNestedBodyIsRejectedAndSessionKeepsServing) {
+  Daemon daemon(test_options());
+  daemon.start();
+  const std::string tiny = slurp(data_file("tiny.sk"));
+
+  FrameClient client(daemon.port());
+  ASSERT_TRUE(client.send(std::string(100000, '[')));
+  std::string body;
+  ASSERT_EQ(client.recv_frame(body, 5000.0), FrameClient::Recv::Frame);
+  EXPECT_EQ(json_field(body, "outcome"), "rejected");
+  EXPECT_NE(body.find("nesting too deep"), std::string::npos) << body;
+  // The daemon survived, and so did the session: it still plans.
+  ASSERT_TRUE(client.send(plan_request("after", tiny)));
+  ASSERT_EQ(client.recv_frame(body, 20000.0), FrameClient::Recv::Frame);
+  EXPECT_EQ(json_field(body, "request"), "after");
+  EXPECT_EQ(json_field(body, "outcome"), "solved");
+  daemon.stop();
+}
+
 TEST(Server, UnparsableProblemIsRejectedInline) {
   Daemon daemon(test_options());
   daemon.start();

@@ -9,6 +9,8 @@
 
 #include <string>
 
+#include "support/json_reader.hpp"
+
 namespace wire = sekitei::service::wire;
 using sekitei::service::Outcome;
 using sekitei::service::PlanResponse;
@@ -155,6 +157,26 @@ TEST(ParseRequest, Errors) {
   EXPECT_NE(err.find("must be a number"), std::string::npos);
   EXPECT_FALSE(wire::parse_request("{\"problem\":\"p\",\"validate\":1}", req, err));
   EXPECT_NE(err.find("must be a boolean"), std::string::npos);
+}
+
+TEST(ParseRequest, DeepNestingIsRejectedWithAnError) {
+  // 100k nested arrays would overflow a recursive reader's stack; the
+  // nesting cap turns any such frame body into a plain parse error.
+  wire::WireRequest req;
+  std::string err;
+  EXPECT_FALSE(wire::parse_request(std::string(100000, '['), req, err));
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(wire::parse_request(objects, req, err));
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+
+  // The cap itself is still accepted.
+  const std::size_t cap = sekitei::json::kMaxDepth;
+  sekitei::json::Value v;
+  EXPECT_TRUE(sekitei::json::parse(std::string(cap, '[') + std::string(cap, ']'), v));
+  EXPECT_FALSE(
+      sekitei::json::parse(std::string(cap + 1, '[') + std::string(cap + 1, ']'), v));
 }
 
 TEST(RenderRequest, RoundTripsThroughParse) {
