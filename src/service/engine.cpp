@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/symmetry.hpp"
@@ -83,6 +85,37 @@ struct JobGuard {
 std::string next_engine_label() {
   static std::atomic<std::uint64_t> constructed{0};
   return std::to_string(constructed.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// One planner attempt: what every ladder rung's solve runs, against the
+/// compile it plans on, under the request's (possibly re-armed) stop token.
+core::PlanResult attempt(const PlanRequest& request, const model::CompiledProblem& target,
+                         core::PlannerOptions::Mode mode) {
+  core::PlannerOptions opt;
+  opt.mode = mode;
+  opt.stop = request.stop.token();
+  opt.progress_every = request.progress_every;
+  opt.progress = request.progress;
+  opt.anytime = request.degrade.enabled;
+  core::Sekitei planner(target, opt);
+  if (request.validate) {
+    sim::Executor exec(target);
+    return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+  }
+  return planner.plan();
+}
+
+/// Renders the shipped plan against `target`, the compile its action ids
+/// index, and echoes it for a later repair submission when asked.
+void adopt_plan(const PlanRequest& request, const model::CompiledProblem& target,
+                PlanResponse& r) {
+  r.plan_text = r.plan->str(target);
+  if (!request.echo_plan) return;
+  r.plan_steps.reserve(r.plan->steps.size());
+  for (const ActionId aid : r.plan->steps) r.plan_steps.push_back(aid.index());
+  sim::Executor echo_exec(target);
+  const sim::ExecutionReport echoed = echo_exec.execute(*r.plan);
+  if (echoed.feasible) r.choices = echoed.choices;
 }
 
 }  // namespace
@@ -207,11 +240,13 @@ PlanResponse PlanningEngine::process(PlanRequest& request, double wait_ms) {
   // RG progress tick), so an idle configuration — no sink, no dir — costs
   // nothing beyond this branch.
   const bool record_flight = options_.flight_sink || !options_.flight_dir.empty();
-  FlightRecorder recorder(options_.flight_capacity == 0 ? 1 : options_.flight_capacity);
+  std::optional<FlightRecorder> recorder;
   const std::function<void(const core::PlannerStats&)> inner_progress = request.progress;
   if (record_flight) {
-    request.progress = [&recorder, inner_progress](const core::PlannerStats& stats) {
-      recorder.record(stats);
+    FlightRecorder& rec =
+        recorder.emplace(options_.flight_capacity == 0 ? 1 : options_.flight_capacity);
+    request.progress = [&rec, inner_progress](const core::PlannerStats& stats) {
+      rec.record(stats);
       if (inner_progress) inner_progress(stats);
     };
   }
@@ -231,7 +266,7 @@ PlanResponse PlanningEngine::process(PlanRequest& request, double wait_ms) {
   // shows where the frontier died.  Solved requests (and Rejected ones,
   // which never searched) stay quiet.
   if (record_flight && r.outcome != Outcome::Solved && r.outcome != Outcome::Rejected) {
-    const std::string dump = recorder.to_ndjson(r.id, outcome_name(r.outcome));
+    const std::string dump = recorder->to_ndjson(r.id, outcome_name(r.outcome));
     if (options_.flight_sink) {
       options_.flight_sink(dump);
     } else {
@@ -242,7 +277,7 @@ PlanResponse PlanningEngine::process(PlanRequest& request, double wait_ms) {
         out << dump;
         SEKITEI_LOG_INFO("service.engine", "flight recording dumped",
                          log::kv("id", r.id.c_str()), log::kv("path", path.c_str()),
-                         log::kv("samples", recorder.size()));
+                         log::kv("samples", recorder->size()));
       } else {
         SEKITEI_LOG_WARN("service.engine", "flight dump failed",
                          log::kv("id", r.id.c_str()), log::kv("path", path.c_str()));
@@ -250,6 +285,81 @@ PlanResponse PlanningEngine::process(PlanRequest& request, double wait_ms) {
     }
   }
   return r;
+}
+
+void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary_fraction,
+                PlanResponse& r) {
+  // Budget split.  t_end is the request's true deadline; when another rung
+  // follows, the first one only gets primary_fraction of what remains and
+  // each later rung is re-armed to t_end on the same StopSource.
+  // Cancellation still wins at any point (a separate flag on the shared
+  // state).
+  const StopToken token = stop.token();
+  const std::int64_t t_end = stop.deadline_epoch_ns();
+  if (rungs.size() > 1 && t_end != 0 && primary_fraction > 0.0 && primary_fraction < 1.0) {
+    const std::int64_t now = StopSource::now_epoch_ns();
+    if (t_end > now) {
+      stop.arm_deadline_at_ns(
+          now + static_cast<std::int64_t>(static_cast<double>(t_end - now) * primary_fraction));
+    }
+  }
+
+  const Stopwatch watch;
+  r.outcome = Outcome::DeadlineExceeded;
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    if (i > 0 && t_end != 0) {
+      if (t_end <= StopSource::now_epoch_ns()) return;  // budget already gone
+      stop.arm_deadline_at_ns(t_end);
+    }
+    const Stopwatch rung_watch;
+    core::PlanResult result = rungs[i].solve();
+    if (i > 0) r.fallback_ms += rung_watch.elapsed_ms();
+    r.solve_ms = watch.elapsed_ms();
+    // A plan-less answer reports the first rung's stats and failure unless
+    // a later rung ends the ladder with its own.
+    if (i == 0) {
+      r.stats = result.stats;
+      r.failure = result.failure;
+    }
+    const bool stopped = result.stats.stopped;
+    if (result.plan) {
+      r.stats = result.stats;
+      r.plan = std::move(result.plan);
+      if (i == 0 && !stopped) {
+        r.outcome = Outcome::Solved;
+        r.ladder = LadderStep::Primary;
+        r.failure.clear();
+        return;
+      }
+      r.outcome = Outcome::Degraded;
+      char buf[160];
+      if (i == 0) {
+        // The stopped search held a replay-validated incumbent.
+        r.ladder = LadderStep::AnytimeIncumbent;
+        std::snprintf(buf, sizeof buf,
+                      "%s fired %s; returning best incumbent (cost %.3f, open lower bound %.3f)",
+                      stop_reason_name(token.reason()), rungs[0].failure,
+                      r.stats.incumbent_cost, r.stats.open_cost_lb);
+      } else {
+        r.ladder = rungs[i].step;
+        std::snprintf(buf, sizeof buf, "%s (cost lb %.3f)", rungs[i].failure,
+                      r.plan->cost_lb);
+      }
+      r.failure = buf;
+      return;
+    }
+    if (stopped && token.reason() == StopReason::Cancelled) {
+      r.outcome = Outcome::Cancelled;
+      r.stats = result.stats;
+      return;
+    }
+    if (!stopped && rungs[i].proves_infeasible) {
+      r.outcome = Outcome::Infeasible;
+      r.stats = result.stats;
+      r.failure = result.failure;
+      return;
+    }
+  }
 }
 
 PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms) {
@@ -326,118 +436,25 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
     }
   }
 
-  // Degradation ladder setup.  When a greedy retry is available, the primary
-  // (optimal) attempt only gets primary_fraction of the remaining budget —
-  // the reserve funds the retry.  t_end is the request's true deadline; the
-  // fractional deadline is re-armed on the same StopSource, and cancellation
-  // still wins at any point (a separate flag on the shared state).
-  const std::int64_t t_end = request.stop.deadline_epoch_ns();
-  const bool can_fallback = request.degrade.enabled && request.degrade.greedy_fallback &&
-                            request.mode == core::PlannerOptions::Mode::Leveled && t_end != 0;
-  if (can_fallback && request.degrade.primary_fraction > 0.0 &&
-      request.degrade.primary_fraction < 1.0) {
-    const std::int64_t now = StopSource::now_epoch_ns();
-    if (t_end > now) {
-      const auto slice = static_cast<std::int64_t>(
-          static_cast<double>(t_end - now) * request.degrade.primary_fraction);
-      request.stop.arm_deadline_at_ns(now + slice);
-    }
+  // The plain rung list: the requested search, then — for Leveled requests
+  // with an armed deadline — a greedy retry on the reserved remainder.
+  std::vector<Rung> rungs;
+  rungs.push_back({LadderStep::Primary, [&] { return attempt(request, cp, request.mode); },
+                   /*proves_infeasible=*/true, "mid-search"});
+  if (request.degrade.enabled && request.mode == core::PlannerOptions::Mode::Leveled &&
+      request.stop.deadline_epoch_ns() != 0) {
+    // A greedy "infeasible" is NOT proof for the leveled semantics (the
+    // worst-case reservation is strictly more conservative).
+    rungs.push_back({LadderStep::GreedyFallback,
+                     [&] {
+                       trace::Span fallback_span("service.greedy_fallback", "service");
+                       return attempt(request, cp, core::PlannerOptions::Mode::Greedy);
+                     },
+                     /*proves_infeasible=*/false,
+                     "deadline fired before the optimal search finished; greedy fallback plan"});
   }
-
-  auto attempt = [&](core::PlannerOptions::Mode mode) {
-    core::PlannerOptions opt;
-    opt.mode = mode;
-    opt.stop = token;
-    opt.progress_every = request.progress_every;
-    opt.progress = request.progress;
-    opt.anytime = request.degrade.enabled;
-    core::Sekitei planner(cp, opt);
-    if (request.validate) {
-      sim::Executor exec(cp);
-      return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
-    }
-    return planner.plan();
-  };
-
-  auto adopt_plan = [&](core::PlanResult& result) {
-    r.plan_text = result.plan->str(cp);
-    r.plan = std::move(result.plan);
-    if (request.echo_plan) {
-      r.plan_steps.clear();
-      r.plan_steps.reserve(r.plan->steps.size());
-      for (const ActionId aid : r.plan->steps) r.plan_steps.push_back(aid.index());
-      sim::Executor echo_exec(cp);
-      const sim::ExecutionReport echoed = echo_exec.execute(*r.plan);
-      if (echoed.feasible) r.choices = echoed.choices;
-    }
-  };
-
-  Stopwatch watch;
-  core::PlanResult result = attempt(request.mode);
-  r.solve_ms = watch.elapsed_ms();
-  r.stats = result.stats;
-  r.failure = result.failure;
-
-  if (result.plan && !result.stats.stopped) {
-    adopt_plan(result);
-    r.outcome = Outcome::Solved;
-    r.ladder = LadderStep::Primary;
-    r.failure.clear();
-  } else if (result.plan) {
-    // Rung 2: the stopped search held a replay-validated incumbent.
-    adopt_plan(result);
-    r.outcome = Outcome::Degraded;
-    r.ladder = LadderStep::AnytimeIncumbent;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "%s fired mid-search; returning best incumbent (cost %.3f, open lower "
-                  "bound %.3f)",
-                  stop_reason_name(token.reason()), r.stats.incumbent_cost,
-                  r.stats.open_cost_lb);
-    r.failure = buf;
-  } else if (result.stats.stopped && token.reason() == StopReason::Cancelled) {
-    r.outcome = Outcome::Cancelled;
-  } else if (result.stats.stopped) {
-    // Rung 3: no incumbent — greedy retry on (a fraction of) the reserve.
-    r.outcome = Outcome::DeadlineExceeded;
-    if (can_fallback) {
-      const std::int64_t now = StopSource::now_epoch_ns();
-      if (t_end > now) {
-        std::int64_t budget = t_end - now;
-        if (request.degrade.greedy_fraction > 0.0 && request.degrade.greedy_fraction < 1.0) {
-          budget = static_cast<std::int64_t>(static_cast<double>(budget) *
-                                             request.degrade.greedy_fraction);
-        }
-        request.stop.arm_deadline_at_ns(now + std::max<std::int64_t>(budget, 1));
-        trace::Span fallback_span("service.greedy_fallback", "service");
-        Stopwatch fb;
-        core::PlanResult fallback = attempt(core::PlannerOptions::Mode::Greedy);
-        r.fallback_ms = fb.elapsed_ms();
-        r.solve_ms = watch.elapsed_ms();
-        if (fallback.plan) {
-          r.stats = fallback.stats;
-          adopt_plan(fallback);
-          r.outcome = Outcome::Degraded;
-          r.ladder = LadderStep::GreedyFallback;
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "deadline fired before the optimal search finished; greedy fallback "
-                        "plan (cost lb %.3f)",
-                        r.plan->cost_lb);
-          r.failure = buf;
-        } else if (fallback.stats.stopped &&
-                   token.reason() == StopReason::Cancelled) {
-          r.outcome = Outcome::Cancelled;
-          r.stats = fallback.stats;
-        }
-        // A greedy "infeasible" is NOT proof for the leveled semantics (the
-        // worst-case reservation is strictly more conservative), so the
-        // outcome stays DeadlineExceeded with the primary attempt's stats.
-      }
-    }
-  } else {
-    r.outcome = Outcome::Infeasible;
-  }
+  run_ladder(rungs, request.stop, request.degrade.primary_fraction, r);
+  if (r.plan) adopt_plan(request, cp, r);
   SEKITEI_LOG_INFO("service.engine", "request served", log::kv("id", r.id.c_str()),
                    log::kv("outcome", outcome_name(r.outcome)),
                    log::kv("ladder", ladder_step_name(r.ladder)),
@@ -502,7 +519,6 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   trace::Span span("service.repair", "service");
   const RepairSpec& spec = *request.repair;
   r.repair_requested = true;
-  const StopToken token = request.stop.token();
 
   for (const ActionId aid : spec.prior_plan.steps) {
     if (aid.index() >= cp.actions.size()) {
@@ -514,26 +530,33 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
     }
   }
 
-  // Repair pre-flight cut: before computing survivors or spending any search
-  // budget, test the goal's relaxed reachability on the *bare* damaged
-  // network — no survivors pinned, every capacity free.  That is the most
-  // permissive problem any ladder rung will ever solve, so "unreachable
-  // there" is a sound certificate that the drift is unsurvivable: answer
-  // Infeasible immediately instead of burning the deadline on the repair
-  // search and the full replan.  The bare compile is hoisted to function
-  // scope so the FullReplan rung below reuses it verbatim.
+  // The bare damaged CPP — no survivors pinned, every capacity free — is
+  // the most permissive problem any rung will ever solve.  Compiled at most
+  // once, by whichever of the repair pre-flight cut and the FullReplan rung
+  // needs it first.
   const net::Network bare = repair::damaged_copy(*cp.net, spec.damage, nullptr);
   model::CppProblem fresh = *cp.problem;
   fresh.network = &bare;
   std::optional<model::CompiledProblem> bcp;
+  const auto bare_compile = [&]() -> const model::CompiledProblem& {
+    if (!bcp) {
+      bcp.emplace(model::compile(fresh, cp.scenario));
+      analysis::attach_symmetry(*bcp);
+    }
+    return *bcp;
+  };
+
+  // Repair pre-flight cut: before computing survivors or spending any search
+  // budget, test the goal's relaxed reachability on the bare damaged
+  // network.  "Unreachable there" is a sound certificate that the drift is
+  // unsurvivable: answer Infeasible immediately instead of burning the
+  // deadline on the repair search and the full replan.
   if (request.preflight || options_.preflight) {
     if (SEKITEI_FAULT_POINT("repair.preflight")) {
       raise("injected fault at repair.preflight");
     }
     const Stopwatch preflight_watch;
-    bcp.emplace(model::compile(fresh, cp.scenario));
-    analysis::attach_symmetry(*bcp);
-    const analysis::PreflightVerdict verdict = analysis::preflight(*bcp);
+    const analysis::PreflightVerdict verdict = analysis::preflight(bare_compile());
     r.repair_preflight_ran = true;
     r.repair_preflight_ms = preflight_watch.elapsed_ms();
     if (verdict.infeasible) {
@@ -579,7 +602,7 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   r.symmetry_classes = rcp.symmetric_class_count;
   r.compile_ms += compile_watch.elapsed_ms();
 
-  bool preflight_skip = false;  // preflight proved the repair CPP infeasible
+  std::string preflight_failure;  // set when preflight proves the repair CPP infeasible
   if (request.preflight || options_.preflight) {
     if (SEKITEI_FAULT_POINT("preflight")) {
       raise("injected fault at preflight");
@@ -590,154 +613,53 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
     r.preflight_ms = preflight_watch.elapsed_ms();
     r.preflight_sweeps = verdict.sweeps;
     if (verdict.infeasible) {
-      // Infeasible *with the survivors pinned* is not infeasible outright —
-      // tearing everything down frees their resources — so this falls down
-      // the ladder to the full replan instead of answering Infeasible.
       r.preflight_rejected = true;
       preflight_rejections_->add(1);
-      preflight_skip = true;
-      r.failure = std::string(verdict.code) + " " + verdict.reason;
+      preflight_failure = std::string(verdict.code) + " " + verdict.reason;
     }
   }
 
-  // Ladder budget split, as in process_inner: the repair attempt gets
-  // primary_fraction of the remaining budget, the reserve funds the full
-  // replan on the damaged network.
-  const std::int64_t t_end = request.stop.deadline_epoch_ns();
-  const bool can_replan = request.degrade.enabled;
-  if (can_replan && t_end != 0 && request.degrade.primary_fraction > 0.0 &&
-      request.degrade.primary_fraction < 1.0) {
-    const std::int64_t now = StopSource::now_epoch_ns();
-    if (t_end > now) {
-      const auto slice = static_cast<std::int64_t>(
-          static_cast<double>(t_end - now) * request.degrade.primary_fraction);
-      request.stop.arm_deadline_at_ns(now + slice);
-    }
+  // The repair rung list: the repair search, then — when degradation is on
+  // — a full replan from scratch on the bare damaged network at full
+  // capacities and undiscounted costs.  Infeasible *with the survivors
+  // pinned* is not infeasible outright (tearing everything down frees their
+  // resources), so the repair rung only proves infeasibility when no
+  // replan follows it.
+  std::vector<Rung> rungs;
+  rungs.push_back({LadderStep::Primary,
+                   [&] {
+                     core::PlanResult skipped;
+                     skipped.failure = preflight_failure;
+                     // Deterministic mid-repair failure for tests and the CI
+                     // fault matrix: Fail mode behaves exactly like the
+                     // repair search's budget slice expiring with no
+                     // incumbent in hand.
+                     skipped.stats.stopped = SEKITEI_FAULT_POINT("repair.plan");
+                     if (skipped.stats.stopped || !preflight_failure.empty()) return skipped;
+                     trace::Span repair_span("service.repair_search", "service");
+                     return attempt(request, rcp, request.mode);
+                   },
+                   /*proves_infeasible=*/!request.degrade.enabled, "mid-repair"});
+  if (request.degrade.enabled) {
+    rungs.push_back({LadderStep::FullReplan,
+                     [&] {
+                       trace::Span replan_span("service.full_replan", "service");
+                       return attempt(request, bare_compile(), request.mode);
+                     },
+                     /*proves_infeasible=*/true,
+                     "repair could not answer within its budget; full replan on the damaged "
+                     "network"});
   }
+  run_ladder(rungs, request.stop, request.degrade.primary_fraction, r);
+  if (!r.plan) return;
 
-  auto attempt_on = [&](const model::CompiledProblem& target) {
-    core::PlannerOptions opt;
-    opt.mode = request.mode;
-    opt.stop = token;
-    opt.progress_every = request.progress_every;
-    opt.progress = request.progress;
-    opt.anytime = request.degrade.enabled;
-    core::Sekitei planner(target, opt);
-    if (request.validate) {
-      sim::Executor exec(target);
-      return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
-    }
-    return planner.plan();
-  };
-
-  auto adopt_plan = [&](core::PlanResult& result, const model::CompiledProblem& target) {
-    r.plan_text = result.plan->str(target);
-    r.plan = std::move(result.plan);
-    count_churn(target, *r.plan, cp, spec.prior_plan, survivors, r);
-    r.repair_cost = r.plan->cost_lb + spec.migration_penalty * r.migrations;
-    if (request.echo_plan) {
-      r.plan_steps.clear();
-      r.plan_steps.reserve(r.plan->steps.size());
-      for (const ActionId aid : r.plan->steps) r.plan_steps.push_back(aid.index());
-      sim::Executor echo_exec(target);
-      const sim::ExecutionReport echoed = echo_exec.execute(*r.plan);
-      if (echoed.feasible) r.choices = echoed.choices;
-    }
-  };
-
-  // Deterministic mid-repair failure for tests and the CI fault matrix: Fail
-  // mode behaves exactly like the repair search's budget slice expiring with
-  // no incumbent in hand, driving the FullReplan rung below.
-  const bool fault_cut = SEKITEI_FAULT_POINT("repair.plan");
-
-  Stopwatch watch;
-  core::PlanResult result;
-  if (!preflight_skip && !fault_cut) {
-    trace::Span repair_span("service.repair_search", "service");
-    result = attempt_on(rcp);
-    r.failure = result.failure;
-  }
-  r.solve_ms = watch.elapsed_ms();
-  r.stats = result.stats;
-
-  if (result.plan && !result.stats.stopped) {
-    adopt_plan(result, rcp);
-    r.outcome = Outcome::Solved;
-    r.ladder = LadderStep::Primary;
-    r.repaired = true;
-    r.failure.clear();
-    return;
-  }
-  if (result.plan) {
-    // Rung 2: the stopped repair search held a replay-validated incumbent.
-    adopt_plan(result, rcp);
-    r.outcome = Outcome::Degraded;
-    r.ladder = LadderStep::AnytimeIncumbent;
-    r.repaired = true;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "%s fired mid-repair; returning best incumbent (cost %.3f, open lower "
-                  "bound %.3f)",
-                  stop_reason_name(token.reason()), r.stats.incumbent_cost,
-                  r.stats.open_cost_lb);
-    r.failure = buf;
-    return;
-  }
-  if (result.stats.stopped && token.reason() == StopReason::Cancelled) {
-    r.outcome = Outcome::Cancelled;
-    return;
-  }
-
-  // Rung 3 (FullReplan): the repair could not answer — infeasible with the
-  // survivors pinned, budget slice expired without an incumbent, or cut
-  // short by the repair.plan fault — so replan from scratch on the damaged
-  // network at full capacities and undiscounted costs.
-  r.outcome = (fault_cut || result.stats.stopped) ? Outcome::DeadlineExceeded
-                                                  : Outcome::Infeasible;
-  if (!can_replan) return;
-  if (t_end != 0) {
-    const std::int64_t now = StopSource::now_epoch_ns();
-    if (t_end <= now) return;  // budget already gone
-    std::int64_t budget = t_end - now;
-    if (request.degrade.greedy_fraction > 0.0 && request.degrade.greedy_fraction < 1.0) {
-      budget = static_cast<std::int64_t>(static_cast<double>(budget) *
-                                         request.degrade.greedy_fraction);
-    }
-    request.stop.arm_deadline_at_ns(now + std::max<std::int64_t>(budget, 1));
-  }
-  trace::Span replan_span("service.full_replan", "service");
-  Stopwatch fb;
-  if (!bcp) {
-    bcp.emplace(model::compile(fresh, cp.scenario));
-    analysis::attach_symmetry(*bcp);
-  }
-  const model::CompiledProblem& fcp = *bcp;
-  core::PlanResult replanned = attempt_on(fcp);
-  r.fallback_ms = fb.elapsed_ms();
-  r.solve_ms = watch.elapsed_ms();
-  if (replanned.plan) {
-    r.stats = replanned.stats;
-    r.symmetry_classes = fcp.symmetric_class_count;
-    adopt_plan(replanned, fcp);
-    r.outcome = Outcome::Degraded;
-    r.ladder = LadderStep::FullReplan;
-    r.repaired = false;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "repair could not answer within its budget; full replan on the damaged "
-                  "network (cost lb %.3f)",
-                  r.plan->cost_lb);
-    r.failure = buf;
-  } else if (replanned.stats.stopped && token.reason() == StopReason::Cancelled) {
-    r.outcome = Outcome::Cancelled;
-    r.stats = replanned.stats;
-  } else if (!replanned.stats.stopped) {
-    // Both the pinned-survivors repair and the from-scratch replan ran to
-    // completion without a plan: the damaged instance is infeasible.
-    r.outcome = Outcome::Infeasible;
-    r.stats = replanned.stats;
-    r.failure = replanned.failure;
-  }
+  const bool replanned = r.ladder == LadderStep::FullReplan;
+  const model::CompiledProblem& target = replanned ? *bcp : rcp;
+  adopt_plan(request, target, r);
+  count_churn(target, *r.plan, cp, spec.prior_plan, survivors, r);
+  r.repair_cost = r.plan->cost_lb + spec.migration_penalty * r.migrations;
+  r.repaired = !replanned;
+  r.symmetry_classes = target.symmetric_class_count;
 }
 
 }  // namespace sekitei::service

@@ -7,15 +7,16 @@
 //   service::PlanResponse r = ticket.response.get();
 //
 // Per request the worker: (1) computes the content fingerprint and asks the
-// sharded LRU compiled-problem cache, compiling only on a miss; (2) runs the
-// three-phase Sekitei planner against the shared immutable CompiledProblem
-// with the request's stop token plumbed into every phase; (3) walks the
-// graceful-degradation ladder (optimal -> anytime incumbent -> greedy retry
-// on the reserved remainder of the budget, see request.hpp) before
-// classifying the result into an Outcome.  Deadlines and cancellation are
-// cooperative: the token is polled at the planner's progress cadence, so
-// responses to a fired deadline arrive within one progress tick, carrying
-// the partial stats accumulated so far.
+// sharded LRU compiled-problem cache, compiling only on a miss; (2) builds
+// the request's rung list — plain requests: the requested search, then a
+// greedy retry; repair requests: the repair search, then a full replan (see
+// request.hpp); (3) hands it to run_ladder(), which runs the three-phase
+// Sekitei planner rung by rung on one split budget, with the request's stop
+// token plumbed into every phase, and classifies the result into an
+// Outcome.  Deadlines and cancellation are cooperative: the token is polled
+// at the planner's progress cadence, so responses to a fired deadline
+// arrive within one progress tick, carrying the partial stats accumulated
+// so far.
 //
 // Robustness: every submitted job carries a guard that answers its future
 // with Rejected and releases the pending slot from the guard's destructor if
@@ -30,6 +31,7 @@
 #include <functional>
 #include <future>
 #include <string>
+#include <vector>
 
 #include "service/compiled_cache.hpp"
 #include "service/request.hpp"
@@ -37,6 +39,38 @@
 #include "support/thread_pool.hpp"
 
 namespace sekitei::service {
+
+/// One rung of the degradation ladder.
+struct Rung {
+  LadderStep step = LadderStep::Primary;  // reported for a plan from a later rung
+  /// The rung's attempt, run under the request's re-armed stop token.
+  std::function<core::PlanResult()> solve;
+  /// An unstopped answer without a plan proves that no plan exists.  False
+  /// for rungs that solve a stricter problem than the request asks about:
+  /// the greedy worst-case reservation, and the repair with survivors
+  /// pinned while a full replan follows it.
+  bool proves_infeasible = false;
+  /// Names a degraded plan from this rung in PlanResponse::failure.  The
+  /// first rung's text reads "<stop reason> fired <failure>; returning best
+  /// incumbent ..."; a later rung's is followed by its plan's cost bound.
+  const char* failure = "";
+};
+
+/// The degradation ladder: runs `rungs` in order on one budget and fills
+/// r.outcome, ladder, stats, failure, plan, solve_ms and fallback_ms.
+///  - Budget: with a deadline armed on `stop` and more than one rung, the
+///    first rung gets `primary_fraction` of the remaining budget (values
+///    outside (0, 1) give it everything); each later rung is re-armed to the
+///    true deadline, and is skipped once that has passed.
+///  - A plan from an unstopped first rung is solved/primary; from a stopped
+///    first rung degraded/anytime_incumbent; from a later rung degraded with
+///    that rung's step.
+///  - A stopped rung under a cancelled token answers cancelled.
+///  - A plan-less rung answers infeasible only if it ran unstopped and
+///    proves_infeasible; otherwise the next rung runs, and when none is
+///    left the answer is deadline_exceeded with the first rung's stats.
+void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary_fraction,
+                PlanResponse& r);
 
 class PlanningEngine {
  public:
@@ -116,15 +150,17 @@ class PlanningEngine {
   [[nodiscard]] const std::string& metrics_label() const { return engine_label_; }
 
  private:
-  /// Non-const request: the degradation ladder re-arms the deadline on the
-  /// request's own StopSource to split one budget across attempts.  The
-  /// wrapper owns per-request observability (flight recorder, per-outcome /
-  /// ladder counters); process_inner() holds the planning logic.
+  /// Non-const request: run_ladder() re-arms the deadline on the request's
+  /// own StopSource to split one budget across rungs.  The wrapper owns
+  /// per-request observability (flight recorder, per-outcome / ladder
+  /// counters); process_inner() compiles, pre-flights and runs the plain
+  /// rung list.
   [[nodiscard]] PlanResponse process(PlanRequest& request, double wait_ms);
   [[nodiscard]] PlanResponse process_inner(PlanRequest& request, double wait_ms);
-  /// The repair path (PlanRequest::repair): survivors-compute, discounted
-  /// repair search, and the FullReplan ladder rung.  Fills `r` in place;
-  /// `cp` is the cached compile of the request's (base) problem.
+  /// The repair path (PlanRequest::repair): survivors, the discounted repair
+  /// compile, the repair rung list, and churn accounting for the shipped
+  /// plan.  Fills `r` in place; `cp` is the cached compile of the request's
+  /// (base) problem.
   void process_repair(PlanRequest& request, PlanResponse& r,
                       const model::CompiledProblem& cp);
 

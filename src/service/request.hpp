@@ -8,24 +8,32 @@
 //   infeasible         the planner proved no plan exists (or exhausted its
 //                      own search limits)
 //   degraded           the deadline (or a cancel) cut the search short but a
-//                      feasible plan is still returned: either the anytime
-//                      incumbent of the stopped optimal search or the result
-//                      of a greedy retry on the remaining budget.  `ladder`
+//                      feasible plan is still returned: the anytime
+//                      incumbent of the stopped first search, or the plan of
+//                      a later rung on the remaining budget.  `ladder`
 //                      records which rung answered.
 //   deadline_exceeded  the request's deadline fired before any plan was found
 //   cancelled          StopSource::request_stop() ended the request early
 //   rejected           the engine refused the request (queue full, no problem)
 //
-// The degradation ladder (per-request policy, PlanRequest::degrade):
+// The degradation ladder (per-request policy, PlanRequest::degrade) is one
+// runner (engine.hpp's run_ladder) over one of two rung lists:
 //
-//   optimal search ──found──▶ solved
-//        │ stop, incumbent in hand ──▶ degraded (anytime_incumbent)
-//        │ stop, no incumbent
-//        ▼
-//   greedy retry on the remaining budget ──found──▶ degraded (greedy_fallback)
-//        │ nothing
-//        ▼
-//   infeasible / deadline_exceeded
+//   plain request                       repair request (PlanRequest::repair)
+//   1. the requested search             1. repair search, survivors pinned
+//   2. greedy retry (greedy_fallback)   2. full replan from scratch on the
+//      Leveled mode + deadline only        damaged network (full_replan)
+//
+//   rung 1 ──found──▶ solved
+//     │ stop, incumbent in hand ──▶ degraded (anytime_incumbent)
+//     │ no plan, infeasibility not proven
+//     ▼
+//   rung 2 on the remaining budget ──found──▶ degraded (greedy_fallback |
+//     │ nothing                                          full_replan)
+//     ▼
+//   infeasible (an unstopped rung whose answer is proof: the plain search,
+//   the full replan, the repair search when no replan follows it) /
+//   deadline_exceeded (otherwise)
 //
 // On deadline_exceeded/cancelled the response still carries the partial
 // PlannerStats accumulated up to the stop — a served client can see how far
@@ -80,16 +88,10 @@ struct DegradePolicy {
   /// Master switch: when false the request behaves exactly like the pre-
   /// ladder engine (a fired deadline answers deadline_exceeded, full stop).
   bool enabled = true;
-  /// Share of the remaining deadline budget granted to the primary (optimal)
-  /// attempt when a greedy fallback is available; the rest is held in
-  /// reserve for the retry.  Values outside (0, 1) give the primary attempt
-  /// everything (no reserve).
+  /// Share of the remaining deadline budget granted to the first rung when a
+  /// second one follows; the rest is held in reserve for it.  Values outside
+  /// (0, 1) give the first rung everything (no reserve).
   double primary_fraction = 0.6;
-  /// Allow the greedy retry rung (only taken for Leveled-mode requests).
-  bool greedy_fallback = true;
-  /// Share of the budget remaining *after* the primary attempt stopped that
-  /// the greedy retry may spend.  Values outside (0, 1] mean all of it.
-  double greedy_fraction = 1.0;
 };
 
 /// Repair payload: turns a PlanRequest into a drift-resilient replanning
@@ -186,7 +188,7 @@ struct PlanResponse {
   bool cache_hit = false;
   double compile_ms = 0.0;   // grounding+leveling time (0.0 on cache hits)
   double solve_ms = 0.0;     // planner time across every ladder attempt
-  double fallback_ms = 0.0;  // share of solve_ms spent in the greedy retry
+  double fallback_ms = 0.0;  // share of solve_ms spent in rungs after the first
   double wait_ms = 0.0;      // time spent queued before a worker picked it up
   /// Pre-flight infeasibility analysis (only meaningful when it ran).
   bool preflight_ran = false;
