@@ -117,8 +117,8 @@ void apply_adaptation_costs(model::CompiledProblem& cp, const Survivors& survivo
                                                const Survivors& survivors);
 
 /// Deterministically derives a plausible drift event from a solved instance
-/// (shared by the drift oracle, the load generator's --drift stream, and
-/// bench_drift).  By seed % 4: fail a link the plan crossed / degrade a
+/// (shared by the drift oracle, `sekitei_serve --drift` and perfbench's drift
+/// workload).  By seed % 4: fail a link the plan crossed / degrade a
 /// crossed link's "lbw" / fail a node hosting a placed component (never the
 /// goal node, a source node, or a preplaced node) / degrade such a node's
 /// "cpu" hard enough to evict its tenant.  Falls back down that list when a

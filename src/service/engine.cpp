@@ -118,6 +118,30 @@ void adopt_plan(const PlanRequest& request, const model::CompiledProblem& target
   if (echoed.feasible) r.choices = echoed.choices;
 }
 
+/// The pre-flight step of both request paths, run when the request or the
+/// engine asks for it: analyzes `cp`, fills the preflight_* fields of `r`
+/// and returns "<code> <reason>" when `cp` is proven infeasible, "" when it
+/// is not.  The analysis is one-sided — it only ever rejects instances no
+/// plan can exist for — so an inconclusive verdict simply falls through.
+std::string preflight_step(bool enabled, const model::CompiledProblem& cp, PlanResponse& r,
+                           metrics::Counter& rejections) {
+  if (!enabled) return {};
+  if (SEKITEI_FAULT_POINT("preflight")) {
+    raise("injected fault at preflight");
+  }
+  const Stopwatch preflight_watch;
+  const analysis::PreflightVerdict verdict = analysis::preflight(cp);
+  r.preflight_ran = true;
+  r.preflight_ms = preflight_watch.elapsed_ms();
+  r.preflight_sweeps = verdict.sweeps;
+  if (!verdict.infeasible) return {};
+  r.preflight_rejected = true;
+  rejections.add(1);
+  SEKITEI_LOG_INFO("service.engine", "preflight rejected request",
+                   log::kv("id", r.id.c_str()), log::kv("code", verdict.code));
+  return std::string(verdict.code) + " " + verdict.reason;
+}
+
 }  // namespace
 
 PlanningEngine::PlanningEngine(Options options)
@@ -413,27 +437,13 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
   }
 
   // Pre-flight: a provably-infeasible instance is answered here, before a
-  // search budget (or the degradation ladder) is committed to it.  The
-  // analysis is one-sided — it only ever rejects instances no plan can
-  // exist for — so an inconclusive verdict simply falls through.
-  if (request.preflight || options_.preflight) {
-    if (SEKITEI_FAULT_POINT("preflight")) {
-      raise("injected fault at preflight");
-    }
-    const Stopwatch preflight_watch;
-    const analysis::PreflightVerdict verdict = analysis::preflight(cp);
-    r.preflight_ran = true;
-    r.preflight_ms = preflight_watch.elapsed_ms();
-    r.preflight_sweeps = verdict.sweeps;
-    if (verdict.infeasible) {
-      r.preflight_rejected = true;
-      preflight_rejections_->add(1);
-      r.outcome = Outcome::Infeasible;
-      r.failure = std::string(verdict.code) + " " + verdict.reason;
-      SEKITEI_LOG_INFO("service.engine", "preflight rejected request",
-                       log::kv("id", r.id.c_str()), log::kv("code", verdict.code));
-      return r;
-    }
+  // search budget (or the degradation ladder) is committed to it.
+  if (std::string failure =
+          preflight_step(request.preflight || options_.preflight, cp, r, *preflight_rejections_);
+      !failure.empty()) {
+    r.outcome = Outcome::Infeasible;
+    r.failure = std::move(failure);
+    return r;
   }
 
   // The plain rung list: the requested search, then — for Leveled requests
@@ -574,7 +584,8 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
 
   // Survivors of the prior deployment under the damage delta.  An empty
   // prior plan means "no survivors": the repair degenerates to a replan on
-  // the damaged network (the load generator's replan yardstick).
+  // the damaged network, the same answer as a plain solve of the bare
+  // damaged compile.
   if (SEKITEI_FAULT_POINT("repair.survivors")) {
     raise("injected fault at repair.survivors");
   }
@@ -602,22 +613,9 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   r.symmetry_classes = rcp.symmetric_class_count;
   r.compile_ms += compile_watch.elapsed_ms();
 
-  std::string preflight_failure;  // set when preflight proves the repair CPP infeasible
-  if (request.preflight || options_.preflight) {
-    if (SEKITEI_FAULT_POINT("preflight")) {
-      raise("injected fault at preflight");
-    }
-    const Stopwatch preflight_watch;
-    const analysis::PreflightVerdict verdict = analysis::preflight(rcp);
-    r.preflight_ran = true;
-    r.preflight_ms = preflight_watch.elapsed_ms();
-    r.preflight_sweeps = verdict.sweeps;
-    if (verdict.infeasible) {
-      r.preflight_rejected = true;
-      preflight_rejections_->add(1);
-      preflight_failure = std::string(verdict.code) + " " + verdict.reason;
-    }
-  }
+  // Set when preflight proves the repair CPP infeasible.
+  const std::string preflight_failure =
+      preflight_step(request.preflight || options_.preflight, rcp, r, *preflight_rejections_);
 
   // The repair rung list: the repair search, then — when degradation is on
   // — a full replan from scratch on the bare damaged network at full

@@ -224,6 +224,48 @@ TEST(DriftTest, SurvivableDriftPassesPreflightAndStillRepairs) {
   EXPECT_TRUE(r.repaired);
 }
 
+TEST(DriftTest, RepairWithoutPriorPlanIsAReplanOnTheDamagedNetwork) {
+  PlanningEngine::Options opts;
+  opts.workers = 1;
+  PlanningEngine engine(opts);
+  const Solved s = solve_diamond(engine);
+  ASSERT_TRUE(s.base.ok()) << s.base.failure;
+
+  repair::Damage dmg;
+  dmg.failed_links.push_back(used_wan_link(*s.problem, prior_from_echo(s.base)));
+  ASSERT_TRUE(dmg.failed_links[0].valid());
+
+  // No prior plan means no survivors: the repair search runs on the bare
+  // damaged network and must answer what a direct solve of it answers.
+  PlanRequest req;
+  req.id = "replan";
+  req.problem = s.problem;
+  req.repair.emplace();
+  req.repair->damage = dmg;
+  const PlanResponse r = engine.plan(std::move(req));
+  ASSERT_EQ(r.outcome, Outcome::Solved) << r.failure;
+  EXPECT_EQ(r.ladder, LadderStep::Primary);
+  EXPECT_TRUE(r.repair_requested);
+  ASSERT_TRUE(r.plan.has_value());
+  EXPECT_NEAR(r.plan->cost_lb, 63.85, 1e-9);
+  EXPECT_EQ(r.migrations, 0u);
+  EXPECT_EQ(r.reconnects, 0u);
+  EXPECT_EQ(r.disruption, 0u);
+
+  const model::LoadedProblem& lp = *s.problem;
+  const net::Network bare = repair::damaged_copy(lp.net, dmg, nullptr);
+  model::CppProblem fresh = lp.problem;
+  fresh.network = &bare;
+  const model::CompiledProblem bcp = model::compile(fresh, lp.scenario);
+  core::Sekitei planner(bcp);
+  sim::Executor exec(bcp);
+  const auto direct =
+      planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+  ASSERT_TRUE(direct.ok());
+  EXPECT_DOUBLE_EQ(r.plan->cost_lb, direct.plan->cost_lb);
+  EXPECT_EQ(r.plan->str(bcp), direct.plan->str(bcp));
+}
+
 TEST(DriftTest, RepairMetricsCountOutcomesAndMigrations) {
   const auto total = [](const char* name) {
     std::uint64_t sum = 0;

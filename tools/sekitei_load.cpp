@@ -30,12 +30,6 @@
 // and the rps ratio (wire/direct) lands on stderr — the number the loopback
 // acceptance bound (>= 0.8x) is checked against.
 //
-// --drift switches to the CLOSED-LOOP drift stream: solve, mutate the solved
-// instance with a seeded damage delta, then submit the same damage twice —
-// with survivors (repair) and without (from-scratch replan) — and emit a
-// "driftload" bench record comparing the two latency distributions
-// (perf_gate.py gates driftload.speedup).
-//
 // Exit codes: 0 when every measured request was answered, 1 when any went
 // unanswered (connection died), 2 on usage/input errors.
 #include <algorithm>
@@ -53,12 +47,9 @@
 #include <vector>
 
 #include "bench/bench_json.hpp"
-#include "model/compile.hpp"
-#include "repair/repair.hpp"
 #include "server/client.hpp"
 #include "service/engine.hpp"
 #include "support/error.hpp"
-#include "support/json_reader.hpp"
 #include "support/metrics.hpp"
 #include "support/retry.hpp"
 #include "support/rng.hpp"
@@ -89,7 +80,6 @@ struct Config {
   bool compare_direct = false;
   std::size_t jobs = 0;
   double recv_grace_ms = 30000.0;  // give up on a silent daemon eventually
-  bool drift = false;  // closed-loop solve -> damage -> repair/replan triples
 };
 
 struct Planned {
@@ -299,182 +289,6 @@ void run_connection(const Config& cfg, std::size_t conn_idx,
   }
 }
 
-/// Nearest-rank percentile of a latency sample.
-double pctl(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto rank =
-      static_cast<std::size_t>(std::ceil(q * static_cast<double>(v.size())));
-  return v[rank == 0 ? 0 : rank - 1];
-}
-
-/// Renders an id-keyed Damage as the wire's name-keyed shape.
-service::wire::WireDamage to_wire_damage(const net::Network& net,
-                                         const repair::Damage& d) {
-  service::wire::WireDamage w;
-  for (const NodeId n : d.failed_nodes) w.failed_nodes.push_back(net.node(n).name);
-  for (const LinkId l : d.failed_links) {
-    w.failed_links.emplace_back(net.node(net.link(l).a).name,
-                                net.node(net.link(l).b).name);
-  }
-  for (const repair::DegradedNode& dn : d.degraded_nodes) {
-    w.degraded_nodes.push_back({net.node(dn.node).name, dn.resource, dn.capacity});
-  }
-  for (const repair::DegradedLink& dl : d.degraded_links) {
-    w.degraded_links.push_back({net.node(net.link(dl.link).a).name,
-                                net.node(net.link(dl.link).b).name, dl.resource,
-                                dl.capacity});
-  }
-  return w;
-}
-
-/// Closed-loop drift stream over the wire: solve (echoing the plan), mutate
-/// the solved instance with a seeded damage delta, then submit the SAME
-/// damage twice — once as a repair (survivors attached) and once with no
-/// prior plan (a from-scratch replan on the damaged network through the
-/// identical service path).  The latency gap between the two is the price of
-/// drift resilience; the "driftload" bench record carries both percentiles.
-int run_drift(const Config& cfg, const std::string& domain_text,
-              const std::vector<std::string>& problem_texts) {
-  // Drift requests always carry a deadline: a seeded damage delta can make
-  // the instance infeasible, and proving that by search is unbounded — a
-  // deadline-less request would park a daemon worker indefinitely and stall
-  // the closed loop behind it.  The engine's degradation ladder turns the
-  // fired deadline into a deadline_exceeded answer, which the loop counts
-  // as an unrepaired pair rather than a lost frame.
-  const double deadline_ms = cfg.deadline_ms > 0.0 ? cfg.deadline_ms : 2000.0;
-  // Parse + compile each instance once up front: seeded_drift needs the
-  // compiled actions and the name-keyed wire damage needs the network.
-  std::vector<std::shared_ptr<const model::LoadedProblem>> problems;
-  std::vector<model::CompiledProblem> compiled;
-  problems.reserve(problem_texts.size());
-  for (const std::string& text : problem_texts) {
-    auto lp = model::load_problem(domain_text, text);
-    compiled.push_back(model::compile(lp->problem, lp->scenario));
-    problems.push_back(std::move(lp));
-  }
-
-  server::FrameClient client(cfg.port);
-  std::vector<double> repair_lat, replan_lat;
-  std::uint64_t pairs = 0, repaired = 0, migrations = 0, disruption = 0, lost = 0;
-
-  auto ask_ms = [&](const service::wire::WireRequest& req, json::Value& v,
-                    double& ms) {
-    const std::int64_t t0 = StopSource::now_epoch_ns();
-    if (!client.send(req)) return false;
-    std::string body;
-    if (client.recv_frame(body, cfg.recv_grace_ms) != server::FrameClient::Recv::Frame) {
-      return false;
-    }
-    ms = static_cast<double>(StopSource::now_epoch_ns() - t0) / 1e6;
-    std::string err;
-    return json::parse(body, v, &err) && v.is_object();
-  };
-
-  for (std::size_t i = 0; i < cfg.requests; ++i) {
-    const std::size_t f = i % problem_texts.size();
-    service::wire::WireRequest plan;
-    plan.id = "drift-" + std::to_string(i);
-    plan.problem_text = problem_texts[f];
-    plan.deadline_ms = deadline_ms;
-    plan.echo_plan = true;
-    json::Value v;
-    double ms = 0.0;
-    if (!ask_ms(plan, v, ms)) {
-      ++lost;
-      break;
-    }
-    const json::Value* outcome = v.find("outcome");
-    const json::Value* steps = v.find("plan_steps");
-    if (outcome == nullptr || !outcome->is_string() ||
-        (outcome->str != "solved" && outcome->str != "degraded") ||
-        steps == nullptr || !steps->is_array()) {
-      continue;  // nothing to drift from
-    }
-    core::Plan prior;
-    for (const json::Value& e : *steps->arr) {
-      if (e.is_number()) prior.steps.emplace_back(static_cast<std::uint32_t>(e.number));
-    }
-    std::vector<double> choices;
-    if (const json::Value* c = v.find("choices"); c != nullptr && c->is_array()) {
-      for (const json::Value& e : *c->arr) {
-        if (e.is_number()) choices.push_back(e.number);
-      }
-    }
-    const repair::Damage damage =
-        repair::seeded_drift(compiled[f], prior, cfg.seed + i);
-
-    service::wire::WireRequest rep;
-    rep.id = plan.id + "/repair";
-    rep.problem_text = problem_texts[f];
-    rep.deadline_ms = deadline_ms;
-    rep.repair = true;
-    for (const ActionId a : prior.steps) rep.prior_plan.push_back(a.index());
-    rep.choices = std::move(choices);
-    rep.damage = to_wire_damage(problems[f]->net, damage);
-    rep.migration_penalty = 2.0;
-    json::Value rv;
-    double rep_ms = 0.0;
-    if (!ask_ms(rep, rv, rep_ms)) {
-      ++lost;
-      break;
-    }
-
-    service::wire::WireRequest rpl;
-    rpl.id = plan.id + "/replan";
-    rpl.problem_text = problem_texts[f];
-    rpl.deadline_ms = deadline_ms;
-    rpl.repair = true;  // same damage, no survivors: from-scratch replan
-    rpl.damage = rep.damage;
-    json::Value pv;
-    double rpl_ms = 0.0;
-    if (!ask_ms(rpl, pv, rpl_ms)) {
-      ++lost;
-      break;
-    }
-
-    ++pairs;
-    if (i >= cfg.warmup) {
-      repair_lat.push_back(rep_ms);
-      replan_lat.push_back(rpl_ms);
-    }
-    if (const json::Value* b = rv.find("repaired"); b != nullptr && b->is_bool() && b->boolean) {
-      ++repaired;
-    }
-    if (const json::Value* n = rv.find("migrations"); n != nullptr && n->is_number()) {
-      migrations += static_cast<std::uint64_t>(n->number);
-    }
-    if (const json::Value* n = rv.find("disruption"); n != nullptr && n->is_number()) {
-      disruption += static_cast<std::uint64_t>(n->number);
-    }
-  }
-
-  const double repair_p50 = pctl(repair_lat, 0.50);
-  const double replan_p50 = pctl(replan_lat, 0.50);
-  benchjson::emit(
-      "driftload",
-      {benchjson::kv("requests", static_cast<std::uint64_t>(cfg.requests)),
-       benchjson::kv("warmup", static_cast<std::uint64_t>(cfg.warmup)),
-       benchjson::kv("pairs", pairs),
-       benchjson::kv("repaired", repaired),
-       benchjson::kv("migrations", migrations),
-       benchjson::kv("disruption", disruption),
-       benchjson::kv("repair_p50_ms", repair_p50),
-       benchjson::kv("repair_p90_ms", pctl(repair_lat, 0.90)),
-       benchjson::kv("replan_p50_ms", replan_p50),
-       benchjson::kv("replan_p90_ms", pctl(replan_lat, 0.90)),
-       benchjson::kv("speedup", repair_p50 > 0.0 ? replan_p50 / repair_p50 : 0.0),
-       benchjson::kv("lost", lost)},
-      nullptr);
-  std::fprintf(stderr,
-               "sekitei_load: drift %llu pairs (%llu repaired in place); "
-               "repair p50 %.2f ms vs replan p50 %.2f ms; %llu lost\n",
-               static_cast<unsigned long long>(pairs),
-               static_cast<unsigned long long>(repaired), repair_p50, replan_p50,
-               static_cast<unsigned long long>(lost));
-  return lost == 0 ? 0 : 1;
-}
-
 /// The same batch, straight into an in-process engine — the "what does the
 /// wire cost" yardstick the acceptance bound compares against.
 double run_direct(const Config& cfg, const std::string& domain_text,
@@ -539,8 +353,6 @@ int main(int argc, char** argv) {
       cfg.retry_base_ms = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--compare-direct") == 0) {
       cfg.compare_direct = true;
-    } else if (std::strcmp(argv[i], "--drift") == 0) {
-      cfg.drift = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       cfg.jobs = std::strtoul(argv[++i], nullptr, 10);
     } else if (argv[i][0] == '-') {
@@ -557,12 +369,17 @@ int main(int argc, char** argv) {
                  "usage: %s <domain.sk> <problem.sk>... --port N [--connections C]\n"
                  "          [--requests N] [--rate R] [--warmup K] [--deadline-ms D]\n"
                  "          [--seed S] [--retries N] [--retry-base-ms D]\n"
-                 "          [--compare-direct] [--jobs N] [--drift]\n",
+                 "          [--compare-direct] [--jobs N]\n",
                  argv[0]);
     return 2;
   }
   if (cfg.requests <= cfg.warmup) {
     std::fprintf(stderr, "error: --requests must exceed --warmup\n");
+    return 2;
+  }
+  // The arrival gap -log(1-u)/rate is inf or NaN unless rate is positive.
+  if (!(cfg.rate > 0.0) || !std::isfinite(cfg.rate)) {
+    std::fprintf(stderr, "error: --rate must be a positive finite number\n");
     return 2;
   }
 
@@ -571,8 +388,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> problem_texts;
     problem_texts.reserve(files.size());
     for (const char* path : files) problem_texts.push_back(slurp(path));
-
-    if (cfg.drift) return run_drift(cfg, domain_text, problem_texts);
 
     // The full Poisson arrival schedule, drawn up front from one seeded
     // stream and dealt round-robin: deterministic offered load.

@@ -19,8 +19,8 @@
 //   "bench"    bench record -> per-name count; netload / netload_direct
 //              records additionally surface their headline numbers (rps,
 //              percentiles, losses) and the wire/direct rps ratio, and
-//              driftload records surface the repaired-vs-replanned latency
-//              comparison
+//              driftload records (bench_drift) surface the repair-vs-replan
+//              p50 comparison
 //              (repair request records — those with a "repaired" key — also
 //              get their own digest: latency split by repaired/replanned,
 //              migration/reconnect/disruption tallies, and a row counting
@@ -84,7 +84,6 @@ struct Tally {
   struct DriftLoad {
     bool seen = false;
     double repair_p50 = 0.0, replan_p50 = 0.0, speedup = 0.0;
-    std::uint64_t pairs = 0, repaired = 0, disruption = 0, lost = 0;
   } driftload;  // last record wins
   struct Flight {
     std::string id, outcome;
@@ -210,10 +209,6 @@ void take_line(Tally& t, const std::string& line) {
       dl.repair_p50 = num_or(v, "repair_p50_ms", 0.0);
       dl.replan_p50 = num_or(v, "replan_p50_ms", 0.0);
       dl.speedup = num_or(v, "speedup", 0.0);
-      dl.pairs = static_cast<std::uint64_t>(num_or(v, "pairs", 0.0));
-      dl.repaired = static_cast<std::uint64_t>(num_or(v, "repaired", 0.0));
-      dl.disruption = static_cast<std::uint64_t>(num_or(v, "disruption", 0.0));
-      dl.lost = static_cast<std::uint64_t>(num_or(v, "lost", 0.0));
     }
     return;
   }
@@ -307,10 +302,6 @@ void report(const Tally& t) {
   }
   if (t.driftload.seen) {
     std::printf("== driftload ==\n");
-    std::printf("  %" PRIu64 " pairs (%" PRIu64 " repaired in place, %" PRIu64
-                " disruption, %" PRIu64 " lost)\n",
-                t.driftload.pairs, t.driftload.repaired, t.driftload.disruption,
-                t.driftload.lost);
     std::printf("  repair p50 %9.3f ms vs replan p50 %9.3f ms (speedup %.2fx)\n",
                 t.driftload.repair_p50, t.driftload.replan_p50, t.driftload.speedup);
   }
