@@ -50,7 +50,9 @@ std::string star_problem(int middles) {
   }
   text += "  node cl { cpu 30; }\n";
   for (int i = 1; i <= middles; ++i) {
-    const std::string m = "m" + std::to_string(i);
+    // Appended, not "m" + to_string(i): GCC 12 raises a false -Wrestrict.
+    std::string m = "m";
+    m += std::to_string(i);
     text += "  link s " + m + " lan { lbw 150; delay 1; }\n";
     text += "  link " + m + " cl wan { lbw 66; delay 10; }\n";
   }

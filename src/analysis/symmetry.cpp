@@ -134,7 +134,9 @@ std::vector<std::vector<std::uint32_t>> compute_classes(const CompiledProblem& c
     std::map<std::string, std::uint32_t> dense;
     std::vector<std::uint32_t> next(n_nodes, 0);
     for (std::size_t n = 0; n < n_nodes; ++n) {
-      std::string s = "c" + std::to_string(color[n]);
+      // Appended, not "c" + to_string(...): GCC 12 raises a false -Wrestrict.
+      std::string s = "c";
+      s += std::to_string(color[n]);
       std::vector<std::string> parts;
       for (const auto& [w, lsigs] : nbr[n]) {
         for (const std::string& ls : lsigs) {

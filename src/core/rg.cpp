@@ -55,14 +55,17 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     std::uint32_t node;
     bool operator<(const Open& o) const {
       if (f != o.f) return f > o.f;  // min-heap on f
-      return g < o.g;                // tie-break: prefer deeper (larger g)
+      if (g != o.g) return g < o.g;  // tie-break: prefer deeper (larger g)
+      return node < o.node;          // then the newest node: a total order
     }
   };
   std::priority_queue<Open> open;
   model::Replayer replayer(cp_);
   pool_.clear();
+  sets_.clear();
 
-  pool_.push_back(Node{ActionId{}, 0, goal_set, 0.0});
+  pool_.push_back(Node{ActionId{}, 0, 0});
+  sets_.push_back(goal_set);
   open.push({slrg_.estimate(goal_set), 0.0, 0});
   stats.rg_nodes = 1;
   stats.rg_peak_open = 1;
@@ -88,7 +91,21 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   while (!open.empty()) {
     const Open cur = open.top();
     open.pop();
-    const Node& nd = pool_[cur.node];
+    // Replay the tail in the optimistic maps (Fig. 8) and prune on resource
+    // failure.  The gate runs at the pop (see the header): most generated
+    // nodes are never popped, and f = g + h does not depend on the replay.
+    std::vector<ActionId> tail = tail_of(cur.node);
+    if (pool_[cur.node].action.valid()) {
+      if (!replayer.replay(tail, /*from_init=*/false, options.replay_mode)) {
+        ++stats.rg_pruned_by_replay;
+        continue;
+      }
+      Node& nd = pool_[cur.node];
+      nd.state = static_cast<std::uint32_t>(sets_.size());
+      sets_.push_back(regress_set(cp_, sets_[pool_[nd.parent].state], nd.action));
+    }
+    // Stable through the child loop: only the pop above appends to sets_.
+    const std::vector<PropId>& state = sets_[pool_[cur.node].state];
     ++stats.rg_expansions;
     if (stats.rg_expansions > options.max_expansions) {
       stats.hit_search_limit = true;
@@ -125,11 +142,10 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
 
     // Goal test: all propositions hold initially and the tail executes in
     // the initial-state resource map.
-    if (sorted_subset(nd.state, cp_.init_props)) {
-      std::vector<ActionId> steps = tail_of(cur.node);
-      if (replayer.replay(steps, /*from_init=*/true, options.replay_mode)) {
+    if (sorted_subset(state, cp_.init_props)) {
+      if (replayer.replay(tail, /*from_init=*/true, options.replay_mode)) {
         Plan plan;
-        plan.steps = std::move(steps);
+        plan.steps = std::move(tail);
         plan.cost_lb = cur.g;
         bool accepted = true;
         if (validate) {
@@ -160,7 +176,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     std::vector<char> used;
     if (sym) {
       used.assign(cp_.net->node_count(), 0);
-      for (PropId p : nd.state) used[cp_.props.key(p).node] = 1;
+      for (PropId p : state) used[cp_.props.key(p).node] = 1;
       for (std::uint32_t w = cur.node; pool_[w].action.valid(); w = pool_[w].parent) {
         const model::GroundAction& act = cp_.actions[pool_[w].action.index()];
         if (act.node.valid()) used[act.node.index()] = 1;
@@ -181,7 +197,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
 
     // Candidate actions: achievers of any unsatisfied proposition.
     std::vector<ActionId> cands;
-    for (PropId p : nd.state) {
+    for (PropId p : state) {
       if (cp_.init_holds(p)) continue;
       for (ActionId a : cp_.achievers_of(p)) {
         if (!plrg_.relevant(a)) continue;
@@ -214,47 +230,44 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
         }
         if (seen) continue;
       }
-      std::vector<PropId> nxt = regress_set(cp_, pool_[cur.node].state, a);
-      if (nxt == pool_[cur.node].state) continue;
+      const std::vector<PropId> nxt = regress_set(cp_, state, a);
+      if (nxt == state) continue;
       const double h = slrg_.estimate(nxt);
       if (h == kInf) continue;
 
-      // Replay the extended tail in the optimistic maps (Fig. 8); prune on
-      // resource failure.
+      const double g = cur.g + cost_fn_(a);
       const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(Node{a, cur.node, std::move(nxt), cur.g + cost_fn_(a)});
-      const std::vector<ActionId> tail = tail_of(child);
-      if (!replayer.replay(tail, /*from_init=*/false, options.replay_mode)) {
-        ++stats.rg_pruned_by_replay;
-        pool_.pop_back();
-        continue;
-      }
+      pool_.push_back(Node{a, cur.node, 0});
       ++stats.rg_nodes;
-      open.push({pool_[child].g + h, pool_[child].g, child});
+      open.push({g + h, g, child});
       if (open.size() > stats.rg_peak_open) stats.rg_peak_open = open.size();
 
       // Anytime incumbent: a goal-satisfying child is a complete feasible
       // plan even though A* has not proven it optimal yet (it stays in the
       // open list until its f value surfaces).  Record the cheapest one that
-      // survives the initial-state replay and validation so a stop mid-proof
-      // can still answer with a plan.
-      if (anytime && (!incumbent.have || pool_[child].g < incumbent.g) &&
-          sorted_subset(pool_[child].state, cp_.init_props) &&
-          replayer.replay(tail, /*from_init=*/true, options.replay_mode)) {
+      // passes the resource gate, the initial-state replay and validation so
+      // a stop mid-proof can still answer with a plan.
+      if (!anytime || (incumbent.have && g >= incumbent.g) ||
+          !sorted_subset(nxt, cp_.init_props)) {
+        continue;
+      }
+      const std::vector<ActionId> child_tail = tail_of(child);
+      if (replayer.replay(child_tail, /*from_init=*/false, options.replay_mode) &&
+          replayer.replay(child_tail, /*from_init=*/true, options.replay_mode)) {
         bool accepted = true;
         if (validate) {
           Plan candidate;
-          candidate.steps = tail;
-          candidate.cost_lb = pool_[child].g;
+          candidate.steps = child_tail;
+          candidate.cost_lb = g;
           trace::Span vspan("rg.validate_incumbent", "search");
           accepted = validate(candidate);
         }
         if (accepted) {
-          incumbent = {true, child, pool_[child].g};
+          incumbent = {true, child, g};
           ++stats.rg_incumbents;
           stats.incumbent_cost = incumbent.g;
           SEKITEI_LOG_DEBUG("core.rg", "incumbent recorded",
-                            log::kv("cost", incumbent.g), log::kv("steps", tail.size()),
+                            log::kv("cost", incumbent.g), log::kv("steps", child_tail.size()),
                             log::kv("expansions", stats.rg_expansions));
         }
       }

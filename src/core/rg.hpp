@@ -7,12 +7,19 @@
 //  depend on the plan tail, it is not possible to reuse nodes in the RG.
 //  The RG is a tree, while the PLRG and SLRG are general graphs."
 //
-// Every expansion replays the tail through the optimistic resource maps
-// (model/replay.hpp) and prunes on failure — the early detection of
-// quality-of-service violations the paper highlights.  The search ends when
-// a node's proposition set holds in the initial state AND the tail replays
-// in the initial-state resource map (plus an optional external concrete
-// validation, e.g. the simulator).
+// Every tail is replayed through the optimistic resource maps
+// (model/replay.hpp) before its node is expanded, and pruned on failure —
+// the early detection of quality-of-service violations the paper highlights.
+// The replay runs when a node is popped, not when it is generated: the
+// node's f = g + h does not depend on it, and most generated nodes are never
+// popped.  The open list is totally ordered (f, then larger g, then the
+// newer node), so the surviving nodes pop in the same order as if failing
+// tails had been cut at generation; a failing node is only discarded later.
+// A generated node stores just its action and parent; the proposition set
+// is rebuilt by one regression when the node is expanded.  The search ends
+// when a node's proposition set holds in the initial state AND the tail
+// replays in the initial-state resource map (plus an optional external
+// concrete validation, e.g. the simulator).
 #pragma once
 
 #include <functional>
@@ -80,12 +87,14 @@ class Rg {
                                            PlannerStats& stats);
 
  private:
+  /// 12 bytes: most generated nodes are never popped, so a node holds no
+  /// proposition set.  Its cost `g` travels in the open-list entry.
   struct Node {
-    ActionId action;            // invalid for the root
-    std::uint32_t parent = 0;   // index into pool; root points to itself
-    std::vector<PropId> state;  // propositions still to achieve
-    double g = 0.0;
+    ActionId action;           // invalid for the root
+    std::uint32_t parent = 0;  // index into pool; root points to itself
+    std::uint32_t state = 0;   // index into sets_; meaningful once expanded
   };
+  static_assert(sizeof(Node) == 12);
 
   /// Tail of node `idx` in execution order (deepest action first).
   [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
@@ -99,6 +108,8 @@ class Rg {
   const Plrg& plrg_;
   CostFn cost_fn_;
   std::vector<Node> pool_;
+  /// Propositions still to achieve, for expanded nodes only (root at 0).
+  std::vector<std::vector<PropId>> sets_;
   std::vector<std::vector<VarId>> sorted_vars_;  // per action, lazily filled
 };
 

@@ -19,6 +19,8 @@ struct PlannerStats {
   std::uint64_t slrg_sets = 0;
 
   // Column 8: RG nodes created / left in the A* queue at solution time.
+  // rg_nodes counts every generated node, before its tail is replayed (the
+  // replay gate runs when a node is popped); both include such nodes.
   std::uint64_t rg_nodes = 0;
   std::uint64_t rg_open_left = 0;
 
@@ -30,11 +32,15 @@ struct PlannerStats {
   [[nodiscard]] double time_total_ms() const { return time_graph_ms + time_search_ms; }
 
   // Extra diagnostics (not in the paper's table).
+  /// RG nodes popped whose tail passed the replay gate.
   std::uint64_t rg_expansions = 0;
+  /// Popped RG tails that failed the optimistic replay, plus goal-satisfying
+  /// tails that failed the replay from the initial state.
   std::uint64_t rg_pruned_by_replay = 0;
   /// Candidate actions skipped by symmetry pruning (RG + SLRG): introducing
   /// a fresh node when a smaller-index interchangeable twin was still unused.
   std::uint64_t pruned_placements = 0;
+  /// Largest RG open list, counting nodes whose tail is not yet replayed.
   std::uint64_t rg_peak_open = 0;
   std::uint64_t slrg_memo_hits = 0;    // estimate() served from exact/weak caches
   std::uint64_t slrg_memo_misses = 0;  // estimate() that ran an A* query

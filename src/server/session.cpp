@@ -105,7 +105,12 @@ bool Session::handle_frame(const std::string& body) {
   }
 
   if (req.id.empty()) {
-    req.id = "s" + std::to_string(id_) + "-" + std::to_string(next_request_++);
+    // Built piecewise: GCC 12 raises a false -Wrestrict on operator+ here.
+    std::string id = "s";
+    id += std::to_string(id_);
+    id += '-';
+    id += std::to_string(next_request_++);
+    req.id = std::move(id);
   }
 
   if (host_.draining() || host_.stopping()) {

@@ -93,8 +93,8 @@ class PlanningEngine {
     /// receives the rendered dump instead (takes precedence; called
     /// concurrently from worker threads, so it must be thread-safe).
     std::size_t flight_capacity = 256;
-    std::string flight_dir;
-    std::function<void(const std::string& ndjson)> flight_sink;
+    std::string flight_dir{};
+    std::function<void(const std::string& ndjson)> flight_sink{};
   };
 
   /// Handle returned by submit(): the response future plus the cancellation

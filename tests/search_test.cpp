@@ -229,6 +229,78 @@ TEST(Rg, StatsArePopulated) {
   EXPECT_GE(r.stats.rg_nodes, r.stats.rg_open_left);
 }
 
+PlanResult plan_validated(const model::CompiledProblem& cp, const PlannerOptions& opt = {}) {
+  Sekitei planner(cp, opt);
+  sim::Executor exec(cp);
+  return planner.plan([&](const Plan& p) { return exec.execute(p).feasible; });
+}
+
+TEST(Rg, SearchIsDeterministic) {
+  // The open list is totally ordered, so the same problem gives the same
+  // plan and the same work in every run; each planner runs its own Rg.
+  auto inst = domains::media::small();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  const PlanResult a = plan_validated(cp);
+  const PlanResult b = plan_validated(cp);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a.plan->str(cp), b.plan->str(cp));
+  EXPECT_EQ(a.stats.rg_expansions, b.stats.rg_expansions);
+  EXPECT_EQ(a.stats.rg_nodes, b.stats.rg_nodes);
+  EXPECT_EQ(a.stats.replay_calls, b.stats.replay_calls);
+  EXPECT_EQ(a.stats.slrg_sets, b.stats.slrg_sets);
+
+}
+
+TEST(Rg, ReplayGatePrunesResourceInfeasibleTails) {
+  // Tiny's 70-unit WAN link cannot carry the full stream, so the logically
+  // cheapest tails fail the resource replay: the optimum (40.3) costs more
+  // than the logical bound of the goal, and only the gate can tell.
+  auto inst = domains::media::tiny();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  Plrg plrg(cp, leveled_cost(cp));
+  plrg.build(cp.goal_prop);
+  Slrg slrg(cp, plrg, leveled_cost(cp));
+  const double logical = slrg.estimate(cp.goal_props);
+
+  const PlanResult r = plan_validated(cp);
+  ASSERT_TRUE(r.ok()) << r.failure;
+  EXPECT_NEAR(r.plan->cost_lb, 40.3, 1e-9);
+  EXPECT_LT(logical, r.plan->cost_lb - 1e-9);
+  EXPECT_GT(r.stats.rg_pruned_by_replay, 0u);
+}
+
+TEST(Rg, ReplayRunsOncePerExpansion) {
+  // A tail is replayed when its node is popped, not when it is generated:
+  // nodes left in the open list cost no replay.
+  auto inst = domains::media::small();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  const PlanResult r = plan_validated(cp);
+  ASSERT_TRUE(r.ok());
+  ASSERT_GT(r.stats.rg_expansions, 0u);
+  EXPECT_LT(static_cast<double>(r.stats.replay_calls),
+            1.1 * static_cast<double>(r.stats.rg_expansions));
+  EXPECT_GT(r.stats.rg_nodes, r.stats.rg_expansions);
+}
+
+TEST(Rg, AnytimeTrackingKeepsThePlan) {
+  // A far deadline arms incumbent tracking, which replays goal-satisfying
+  // children when they are generated; the returned plan must not change.
+  auto inst = domains::media::small();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  const PlanResult plain = plan_validated(cp);
+  PlannerOptions opt;
+  opt.stop = StopSource::with_deadline_ms(1e9).token();
+  const PlanResult armed = plan_validated(cp, opt);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(armed.ok());
+  EXPECT_EQ(plain.plan->str(cp), armed.plan->str(cp));
+  EXPECT_EQ(plain.plan->cost_lb, armed.plan->cost_lb);
+  EXPECT_GT(armed.stats.rg_incumbents, 0u);
+  EXPECT_FALSE(armed.stats.suboptimal_on_stop);
+  EXPECT_EQ(plain.stats.rg_expansions, armed.stats.rg_expansions);
+}
+
 TEST(Rg, GreedyModeUsesUniformCosts) {
   // In greedy mode the planner optimizes plan length; the Tiny plan has 7
   // actions but greedy cannot accept it (worst-case reservation) — on a

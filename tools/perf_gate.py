@@ -27,9 +27,15 @@ Gated metrics (lower_is_better marked "<"):
                                 the table2 comparison rows carry no speedup
                                 key and are not gated)
 
+Answers: every bench_table2 row's plan_found, cost_lb and plan_actions must
+equal the row pinned under "table2_answers" in the baseline, so a faster
+but wrong search fails too.  When the input holds table2 rows, a pinned row
+missing from it, or a row with no pin, fails.
+
 A metric missing from the input is skipped (so the gate can run on a
 table2-only stream); a metric missing from the baseline fails unless
---update is given.  --update rewrites the baseline from the current run.
+--update is given.  --update rewrites the baseline (metrics and answers)
+from the current run.
 Tolerance: --tolerance X or PERF_GATE_TOLERANCE (fraction, default 0.30 —
 CI noise on shared runners makes tighter gates flaky).
 
@@ -45,11 +51,14 @@ DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "bench", "baselines", "baseline.json")
 SCHEMA_MAJOR = 1  # mirrors benchjson::kSchemaVersion
+ANSWER_KEYS = ("plan_found", "cost_lb", "plan_actions")
+COST_EPS = 1e-6
 
 
 def collect(paths):
-    """Extract the gated metrics from bench NDJSON files."""
+    """Extract the gated metrics and the Table-2 answers from bench NDJSON files."""
     table2_search, table2_total = [], []
+    answers = {}
     best_rps, warm_rps, netload_rps, drift_speedup = None, None, None, None
     symmetry_speedup, cp_speedup = None, None
     for path in paths:
@@ -67,6 +76,8 @@ def collect(paths):
                              f"than this gate understands (v{SCHEMA_MAJOR})")
                 name = rec.get("bench")
                 if name == "table2":
+                    row = f"{rec.get('net')}/{rec.get('scenario')}"
+                    answers[row] = {k: rec[k] for k in ANSWER_KEYS if k in rec}
                     if "total_ms" in rec:
                         table2_total.append(float(rec["total_ms"]))
                     stats = rec.get("stats") or {}
@@ -119,7 +130,27 @@ def collect(paths):
     if cp_speedup is not None:
         current["cp.speedup"] = {
             "value": round(cp_speedup, 3), "lower_is_better": False}
-    return current
+    return current, answers
+
+
+def answer_failures(answers, pinned):
+    """Rows whose answer differs from the pinned one, or that lack a pin."""
+    failures = []
+    for row in sorted(set(answers) | set(pinned)):
+        got, want = answers.get(row), pinned.get(row)
+        if got is None or want is None:
+            where = "input" if got is None else "baseline"
+            failures.append(f"table2 {row}: missing from the {where}")
+            continue
+        for key in ANSWER_KEYS:
+            a, b = got.get(key), want.get(key)
+            if key == "cost_lb" and a is not None and b is not None:
+                same = abs(float(a) - float(b)) <= COST_EPS
+            else:
+                same = a == b
+            if not same:
+                failures.append(f"table2 {row}: {key} {a} != pinned {b}")
+    return failures
 
 
 def main():
@@ -133,28 +164,40 @@ def main():
                     help="allowed relative regression (default 0.30)")
     args = ap.parse_args()
 
-    current = collect(args.files)
+    current, answers = collect(args.files)
     if not current:
         sys.exit("error: no gateable bench records found in the input")
 
     if args.update:
         os.makedirs(os.path.dirname(args.baseline), exist_ok=True)
+        doc = {"schema": SCHEMA_MAJOR, "metrics": current}
+        if answers:
+            doc["table2_answers"] = answers
         with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA_MAJOR, "metrics": current}, fh,
-                      indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"perf_gate: baseline updated with {len(current)} metric(s) "
-              f"-> {args.baseline}")
+        print(f"perf_gate: baseline updated with {len(current)} metric(s) and "
+              f"{len(answers)} table2 answer(s) -> {args.baseline}")
         return 0
 
     try:
         with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)["metrics"]
+            doc = json.load(fh)
+        baseline = doc["metrics"]
+        pinned = doc.get("table2_answers", {})
     except (OSError, KeyError, json.JSONDecodeError) as e:
         sys.exit(f"error: cannot read baseline {args.baseline}: {e} "
                  "(run with --update to create it)")
 
     failures = []
+    if answers:
+        wrong = answer_failures(answers, pinned)
+        for line in wrong:
+            print(f"perf_gate: FAIL {line}")
+        if wrong:
+            failures.append("table2.answers")
+        else:
+            print(f"perf_gate: ok   table2.answers: {len(answers)} row(s) match the pins")
     for name, cur in sorted(current.items()):
         base = baseline.get(name)
         if base is None:

@@ -191,8 +191,11 @@ void run_connection(const Config& cfg, std::size_t conn_idx,
       // Honor the offered schedule first — open loop.
       if (next < schedule.size() && start_ns + schedule[next].due_ns <= now) {
         const Planned& p = schedule[next];
-        const std::string id =
-            "c" + std::to_string(conn_idx) + "-" + std::to_string(p.global_idx);
+        // Built piecewise: GCC 12 raises a false -Wrestrict on operator+ here.
+        std::string id = "c";
+        id += std::to_string(conn_idx);
+        id += '-';
+        id += std::to_string(p.global_idx);
         if (!send_one(id, make_request(id, p.file_idx),
                       {p.global_idx, p.file_idx, 0, 1})) {
           break;  // peer gone; inflight accounting below
