@@ -10,32 +10,7 @@
 namespace sekitei::core {
 
 Rg::Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg, CostFn cost)
-    : cp_(cp), slrg_(slrg), plrg_(plrg), cost_fn_(std::move(cost)) {}
-
-bool Rg::independent(ActionId a, ActionId b) {
-  if (sorted_vars_.empty()) sorted_vars_.resize(cp_.actions.size());
-  auto vars_of = [&](ActionId id) -> const std::vector<VarId>& {
-    std::vector<VarId>& v = sorted_vars_[id.index()];
-    if (v.empty() && !cp_.actions[id.index()].slot_vars.empty()) {
-      v = cp_.actions[id.index()].slot_vars;
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    }
-    return v;
-  };
-  if (sorted_intersects(vars_of(a), vars_of(b))) return false;
-  // Logical support in either direction (through the level closure) makes
-  // the pair order-dependent.
-  for (PropId p : cp_.actions[b.index()].pre) {
-    const auto& ach = cp_.achievers_of(p);
-    if (std::binary_search(ach.begin(), ach.end(), a)) return false;
-  }
-  for (PropId p : cp_.actions[a.index()].pre) {
-    const auto& ach = cp_.achievers_of(p);
-    if (std::binary_search(ach.begin(), ach.end(), b)) return false;
-  }
-  return true;
-}
+    : cp_(cp), slrg_(slrg), plrg_(plrg), cost_fn_(std::move(cost)), commute_(cp) {}
 
 std::vector<ActionId> Rg::tail_of(std::uint32_t idx) const {
   std::vector<ActionId> steps;
@@ -61,12 +36,12 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   };
   std::priority_queue<Open> open;
   model::Replayer replayer(cp_);
+  SetStore& store = slrg_.sets();
   pool_.clear();
-  sets_.clear();
 
-  pool_.push_back(Node{ActionId{}, 0, 0});
-  sets_.push_back(goal_set);
-  open.push({slrg_.estimate(goal_set), 0.0, 0});
+  const SetId root = store.intern(goal_set);
+  pool_.push_back(Node{ActionId{}, 0, root});
+  open.push({slrg_.estimate(root), 0.0, 0});
   stats.rg_nodes = 1;
   stats.rg_peak_open = 1;
 
@@ -100,12 +75,10 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
         ++stats.rg_pruned_by_replay;
         continue;
       }
-      Node& nd = pool_[cur.node];
-      nd.state = static_cast<std::uint32_t>(sets_.size());
-      sets_.push_back(regress_set(cp_, sets_[pool_[nd.parent].state], nd.action));
     }
-    // Stable through the child loop: only the pop above appends to sets_.
-    const std::vector<PropId>& state = sets_[pool_[cur.node].state];
+    // Stable through the child loop: store blocks never move.
+    const SetId state_id = pool_[cur.node].state;
+    const std::span<const PropId> state = store.get(state_id);
     ++stats.rg_expansions;
     if (stats.rg_expansions > options.max_expansions) {
       stats.hit_search_limit = true;
@@ -183,17 +156,6 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
         if (act.node2.valid()) used[act.node2.index()] = 1;
       }
     }
-    // True when introducing fresh node `n` is non-canonical: some strictly
-    // smaller twin is also unused (and is not the action's other node — the
-    // swap must yield a distinct well-formed action).
-    auto sym_blocked = [&](NodeId n, NodeId other) {
-      if (!n.valid() || used[n.index()] != 0) return false;
-      for (const std::uint32_t m : cp_.node_class_members[cp_.node_class[n.index()]]) {
-        if (m >= n.index()) break;
-        if (used[m] == 0 && (!other.valid() || m != other.index())) return true;
-      }
-      return false;
-    };
 
     // Candidate actions: achievers of any unsatisfied proposition.
     std::vector<ActionId> cands;
@@ -211,14 +173,11 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // ascending-id order.
       if (options.commutativity_pruning && pool_[cur.node].action.valid()) {
         const ActionId b = pool_[cur.node].action;
-        if (a > b && independent(a, b)) continue;
+        if (a > b && commute_.independent(a, b)) continue;
       }
-      if (sym) {
-        const model::GroundAction& act = cp_.actions[a.index()];
-        if (sym_blocked(act.node, act.node2) || sym_blocked(act.node2, act.node)) {
-          ++stats.pruned_placements;
-          continue;
-        }
+      if (sym && cp_.twin_blocked(a, used)) {
+        ++stats.pruned_placements;
+        continue;
       }
       if (options.forbid_repeated_actions) {
         bool seen = false;
@@ -230,14 +189,15 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
         }
         if (seen) continue;
       }
-      const std::vector<PropId> nxt = regress_set(cp_, state, a);
-      if (nxt == state) continue;
+      model::regress(cp_, state, a, regressed_);
+      const SetId nxt = store.intern(regressed_);
+      if (nxt == state_id) continue;
       const double h = slrg_.estimate(nxt);
       if (h == kInf) continue;
 
       const double g = cur.g + cost_fn_(a);
       const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(Node{a, cur.node, 0});
+      pool_.push_back(Node{a, cur.node, nxt});
       ++stats.rg_nodes;
       open.push({g + h, g, child});
       if (open.size() > stats.rg_peak_open) stats.rg_peak_open = open.size();
@@ -248,7 +208,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // passes the resource gate, the initial-state replay and validation so
       // a stop mid-proof can still answer with a plan.
       if (!anytime || (incumbent.have && g >= incumbent.g) ||
-          !sorted_subset(nxt, cp_.init_props)) {
+          !sorted_subset(store.get(nxt), cp_.init_props)) {
         continue;
       }
       const std::vector<ActionId> child_tail = tail_of(child);

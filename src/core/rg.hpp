@@ -15,11 +15,12 @@
 // popped.  The open list is totally ordered (f, then larger g, then the
 // newer node), so the surviving nodes pop in the same order as if failing
 // tails had been cut at generation; a failing node is only discarded later.
-// A generated node stores just its action and parent; the proposition set
-// is rebuilt by one regression when the node is expanded.  The search ends
-// when a node's proposition set holds in the initial state AND the tail
-// replays in the initial-state resource map (plus an optional external
-// concrete validation, e.g. the simulator).
+// A node stores its action, its parent and the SetId of its proposition set
+// in the plan's SetStore: the set is interned when the node is generated,
+// since its h needs it anyway, so nothing is rebuilt when the node is popped.
+// The search ends when a node's proposition set holds in the initial state
+// AND the tail replays in the initial-state resource map (plus an optional
+// external concrete validation, e.g. the simulator).
 #pragma once
 
 #include <functional>
@@ -29,6 +30,7 @@
 #include "core/slrg.hpp"
 #include "core/stats.hpp"
 #include "model/replay.hpp"
+#include "support/chunked_array.hpp"
 #include "support/stop_token.hpp"
 
 namespace sekitei::core {
@@ -87,30 +89,25 @@ class Rg {
                                            PlannerStats& stats);
 
  private:
-  /// 12 bytes: most generated nodes are never popped, so a node holds no
-  /// proposition set.  Its cost `g` travels in the open-list entry.
+  /// 12 bytes: most generated nodes are never popped, so a node holds its
+  /// set by id.  Its cost `g` travels in the open-list entry.
   struct Node {
     ActionId action;           // invalid for the root
     std::uint32_t parent = 0;  // index into pool; root points to itself
-    std::uint32_t state = 0;   // index into sets_; meaningful once expanded
+    SetId state;               // propositions still to achieve
   };
   static_assert(sizeof(Node) == 12);
 
   /// Tail of node `idx` in execution order (deepest action first).
   [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
 
-  /// True when `a` (executing immediately before `b`) commutes with `b`:
-  /// disjoint located variables and no logical support either way.
-  [[nodiscard]] bool independent(ActionId a, ActionId b);
-
   const model::CompiledProblem& cp_;
   Slrg& slrg_;
   const Plrg& plrg_;
   CostFn cost_fn_;
-  std::vector<Node> pool_;
-  /// Propositions still to achieve, for expanded nodes only (root at 0).
-  std::vector<std::vector<PropId>> sets_;
-  std::vector<std::vector<VarId>> sorted_vars_;  // per action, lazily filled
+  ChunkedArray<Node> pool_;
+  std::vector<PropId> regressed_;  // reused buffer for child sets
+  model::Commutation commute_;
 };
 
 }  // namespace sekitei::core

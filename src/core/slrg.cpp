@@ -1,70 +1,51 @@
 #include "core/slrg.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <cmath>
 
 #include "support/sorted_vec.hpp"
 #include "support/trace.hpp"
 
 namespace sekitei::core {
 
-std::size_t Slrg::SetHash::operator()(const std::vector<PropId>& v) const noexcept {
-  return hash_sorted(v);
-}
-
-bool action_supports_any(const model::CompiledProblem& cp, const std::vector<PropId>& set,
-                         ActionId a) {
-  for (PropId p : set) {
-    const auto& ach = cp.achievers_of(p);
-    if (std::binary_search(ach.begin(), ach.end(), a)) return true;
-  }
-  return false;
-}
-
-std::vector<PropId> regress_set(const model::CompiledProblem& cp,
-                                const std::vector<PropId>& set, ActionId a) {
-  std::vector<PropId> out;
-  out.reserve(set.size() + cp.actions[a.index()].pre.size());
-  for (PropId p : set) {
-    const auto& ach = cp.achievers_of(p);
-    if (!std::binary_search(ach.begin(), ach.end(), a)) out.push_back(p);
-  }
-  for (PropId q : cp.actions[a.index()].pre) sorted_insert(out, q);
-  return out;
-}
-
 Slrg::Slrg(const model::CompiledProblem& cp, const Plrg& plrg, CostFn cost, Limits limits,
            StopToken stop)
     : cp_(cp), plrg_(plrg), cost_fn_(std::move(cost)), limits_(limits), stop_(std::move(stop)) {}
 
-void Slrg::harvest(std::unordered_map<std::vector<PropId>, double, SetHash>& best_g,
-                   double query_result) {
-  for (auto& [props, g] : best_g) {
-    const double bound = query_result - g;
-    if (bound <= 0 || exact_.count(props)) continue;
-    auto [it, inserted] = weak_.emplace(props, bound);
-    if (!inserted && bound > it->second) it->second = bound;
+void Slrg::harvest(double query_result) {
+  for (const SetId id : touched_) {
+    Memo& m = memo_[id.index()];
+    const double bound = query_result - m.best_g;
+    if (bound <= 0 || !std::isnan(m.exact)) continue;
+    if (std::isnan(m.weak) || bound > m.weak) m.weak = bound;
   }
 }
 
-double Slrg::estimate(const std::vector<PropId>& set) {
-  if (sorted_subset(set, cp_.init_props)) {
+void Slrg::end_query() {
+  for (const SetId id : touched_) memo_[id.index()].best_g = kAbsent;
+  touched_.clear();
+}
+
+double Slrg::estimate(SetId set) {
+  cover();
+  const std::span<const PropId> props = store_.get(set);
+  if (sorted_subset(props, cp_.init_props)) {
     ++memo_hits_;
     return 0.0;
   }
-  if (auto it = exact_.find(set); it != exact_.end()) {
+  if (const double exact = memo_[set.index()].exact; !std::isnan(exact)) {
     ++memo_hits_;
-    return it->second;
+    return exact;
   }
-  const double base = plrg_.set_cost(set);
+  const double base = plrg_.set_cost(props);
   if (base == kInf) {
     ++memo_misses_;
-    exact_.emplace(set, kInf);
+    memo_[set.index()].exact = kInf;
     return kInf;
   }
-  if (auto it = weak_.find(set); it != weak_.end()) {
+  if (const double weak = memo_[set.index()].weak; !std::isnan(weak)) {
     ++memo_hits_;
-    return std::max(base, it->second);
+    return std::max(base, weak);
   }
   ++memo_misses_;
   if (generated_ >= limits_.max_sets) {
@@ -84,39 +65,28 @@ double Slrg::estimate(const std::vector<PropId>& set) {
 
   // A* graph search from `set` toward the initial state in the resource-free
   // relaxation.  Nodes live in a pool so the optimal path can be walked for
-  // memoization afterwards.
-  struct Node {
-    std::vector<PropId> props;
-    double g = 0.0;
-    std::uint32_t parent = UINT32_MAX;
+  // memoization afterwards.  The open list is a binary heap driven exactly
+  // as std::priority_queue drives one.
+  pool_.clear();
+  open_.clear();
+  auto push = [&](const Open& o) {
+    open_.push_back(o);
+    std::push_heap(open_.begin(), open_.end());
   };
-  struct Open {
-    double f;
-    double g;
-    std::uint32_t node;
-    bool operator<(const Open& o) const {
-      if (f != o.f) return f > o.f;
-      return g < o.g;  // tie-break: prefer deeper
-    }
-  };
-  std::vector<Node> pool;
-  std::priority_queue<Open> open;
-  std::unordered_map<std::vector<PropId>, double, SetHash> best_g;
-
-  pool.push_back(Node{set, 0.0, UINT32_MAX});
-  best_g.emplace(set, 0.0);
+  pool_.push_back(Node{set, UINT32_MAX, 0.0});
+  memo_[set.index()].best_g = 0.0;
+  touched_.push_back(set);
   ++generated_;
   ++query_generated;
-  open.push({base, 0.0, 0});
+  push({base, 0.0, 0});
 
-  while (!open.empty()) {
-    const Open cur = open.top();
-    open.pop();
-    const std::vector<PropId> cur_props = pool[cur.node].props;  // copy: pool may grow
-    {
-      auto it = best_g.find(cur_props);
-      if (it != best_g.end() && cur.g > it->second) continue;  // stale
-    }
+  while (!open_.empty()) {
+    const Open cur = open_.front();
+    std::pop_heap(open_.begin(), open_.end());
+    open_.pop_back();
+    const SetId cur_set = pool_[cur.node].set;
+    if (cur.g > memo_[cur_set.index()].best_g) continue;  // stale
+    const std::span<const PropId> cur_props = store_.get(cur_set);
 
     // Termination: reaching the initial state, or any set whose exact
     // logical cost is already memoized (a node with a perfect heuristic —
@@ -125,22 +95,24 @@ double Slrg::estimate(const std::vector<PropId>& set) {
     double terminal = kInf;
     if (sorted_subset(cur_props, cp_.init_props)) {
       terminal = 0.0;
-    } else if (auto it = exact_.find(cur_props); it != exact_.end() && it->second != kInf) {
-      terminal = it->second;
+    } else if (const double exact = memo_[cur_set.index()].exact;
+               !std::isnan(exact) && exact != kInf) {
+      terminal = exact;
     }
     if (terminal != kInf) {
       const double total = cur.g + terminal;
-      exact_[set] = total;
-      for (std::uint32_t w = cur.node; w != UINT32_MAX; w = pool[w].parent) {
-        const double rest = total - pool[w].g;
-        auto [it, inserted] = exact_.emplace(pool[w].props, rest);
-        if (!inserted && rest < it->second) it->second = rest;
+      memo_[set.index()].exact = total;
+      for (std::uint32_t w = cur.node; w != UINT32_MAX; w = pool_[w].parent) {
+        const double rest = total - pool_[w].g;
+        double& exact = memo_[pool_[w].set.index()].exact;
+        if (std::isnan(exact) || rest < exact) exact = rest;
       }
       // Harvest admissible lower bounds for every set this query touched:
       // any completion of U costs at least total - g(U) (A* invariant), so
       // later queries start from a much better heuristic.  This is what
       // makes the oracle amortize across the RG's many estimate() calls.
-      harvest(best_g, total);
+      harvest(total);
+      end_query();
       return total;
     }
 
@@ -149,49 +121,39 @@ double Slrg::estimate(const std::vector<PropId>& set) {
     // state (pinned nodes are singletons), so the canonical branch achieves
     // the same minimal logical cost — estimates stay exact.
     const bool sym = limits_.symmetry_pruning && cp_.symmetric_class_count > 0;
-    std::vector<char> used;
     if (sym) {
-      used.assign(cp_.net->node_count(), 0);
-      for (PropId p : cur_props) used[cp_.props.key(p).node] = 1;
+      used_.assign(cp_.net->node_count(), 0);
+      for (PropId p : cur_props) used_[cp_.props.key(p).node] = 1;
     }
-    auto sym_blocked = [&](NodeId n, NodeId other) {
-      if (!n.valid() || used[n.index()] != 0) return false;
-      for (const std::uint32_t m : cp_.node_class_members[cp_.node_class[n.index()]]) {
-        if (m >= n.index()) break;
-        if (used[m] == 0 && (!other.valid() || m != other.index())) return true;
-      }
-      return false;
-    };
 
-    std::vector<ActionId> cands;
+    cands_.clear();
     for (PropId p : cur_props) {
       if (cp_.init_holds(p)) continue;
       for (ActionId a : cp_.achievers_of(p)) {
         if (!plrg_.relevant(a)) continue;
-        sorted_insert(cands, a);
+        sorted_insert(cands_, a);
       }
     }
-    for (ActionId a : cands) {
-      if (sym) {
-        const model::GroundAction& act = cp_.actions[a.index()];
-        if (sym_blocked(act.node, act.node2) || sym_blocked(act.node2, act.node)) {
-          ++symmetry_pruned_;
-          continue;
-        }
+    for (ActionId a : cands_) {
+      if (sym && cp_.twin_blocked(a, used_)) {
+        ++symmetry_pruned_;
+        continue;
       }
-      std::vector<PropId> nxt = regress_set(cp_, cur_props, a);
-      if (nxt == cur_props) continue;
+      model::regress(cp_, cur_props, a, regressed_);
+      const SetId nxt = store_.intern(regressed_);
+      if (nxt == cur_set) continue;
+      cover();
+      const Memo& known = memo_[nxt.index()];
       const double g = cur.g + cost_fn_(a);
       double h;
-      if (auto it = exact_.find(nxt); it != exact_.end()) {
-        h = it->second;  // reuse earlier oracle results
+      if (!std::isnan(known.exact)) {
+        h = known.exact;  // reuse earlier oracle results
       } else {
-        h = plrg_.set_cost(nxt);
-        if (auto wt = weak_.find(nxt); wt != weak_.end()) h = std::max(h, wt->second);
+        h = plrg_.set_cost(regressed_);
+        if (!std::isnan(known.weak)) h = std::max(h, known.weak);
       }
       if (h == kInf) continue;
-      auto it = best_g.find(nxt);
-      if (it != best_g.end() && it->second <= g) continue;
+      if (known.best_g <= g) continue;  // false while absent (NaN)
       // Budget exhaustion and cooperative stop share one exit: both return
       // the admissible frontier bound.  The stop poll rides the same cadence
       // as the trace counter sampling so the hot loop pays nothing extra.
@@ -203,26 +165,29 @@ double Slrg::estimate(const std::vector<PropId>& set) {
         if (budget_out) hit_limit_ = true;
         // Any solution either extends the node being expanded (cost >= its
         // f) or passes through the open list (cost >= min open f).
-        const double frontier = open.empty() ? cur.f : std::min(cur.f, open.top().f);
+        const double frontier = open_.empty() ? cur.f : std::min(cur.f, open_.front().f);
         const double bound = std::max(base, frontier);
-        auto [it2, ins2] = weak_.emplace(set, bound);
-        if (!ins2 && bound > it2->second) it2->second = bound;
-        harvest(best_g, bound);
+        double& weak = memo_[set.index()].weak;
+        if (std::isnan(weak) || bound > weak) weak = bound;
+        harvest(bound);
+        end_query();
         return bound;
       }
-      best_g[nxt] = g;
-      const std::uint32_t idx = static_cast<std::uint32_t>(pool.size());
-      pool.push_back(Node{std::move(nxt), g, cur.node});
+      if (std::isnan(known.best_g)) touched_.push_back(nxt);
+      memo_[nxt.index()].best_g = g;
+      const std::uint32_t idx = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Node{nxt, cur.node, g});
       ++generated_;
       ++query_generated;
       // Sampled, not per-node: counter events are for trend lines, and the
       // sampling keeps the trace file (and the no-collector cost) small.
       if ((generated_ & 0x3ffu) == 0) trace::counter("slrg.sets", static_cast<double>(generated_));
-      open.push({g + h, g, idx});
+      push({g + h, g, idx});
     }
   }
   // Exhausted without reaching the initial state: logically impossible.
-  exact_[set] = kInf;
+  memo_[set.index()].exact = kInf;
+  end_query();
   return kInf;
 }
 

@@ -17,13 +17,19 @@
 // is exact for the relaxation, the RG only ever expands plan tails whose
 // f-value is a true lower bound — this is what keeps the RG small despite
 // being a tree.
+//
+// Duplicate sets are merged through the plan's SetStore: every set is
+// interned once, and the memos (exact costs, weak bounds, the running
+// query's best g) are dense arrays indexed by SetId.
 #pragma once
 
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "core/plrg.hpp"
+#include "core/set_store.hpp"
 #include "model/compile.hpp"
+#include "support/chunked_array.hpp"
 #include "support/stop_token.hpp"
 
 namespace sekitei::core {
@@ -59,12 +65,20 @@ class Slrg {
   /// Exact minimal logical cost of achieving `set` from the initial state;
   /// +inf when logically impossible.  Falls back to the (admissible but
   /// weaker) PLRG max estimate if the node budget is exhausted.
-  [[nodiscard]] double estimate(const std::vector<PropId>& set);
+  [[nodiscard]] double estimate(SetId set);
+
+  /// Interns `set` (sorted, unique) and forwards.
+  [[nodiscard]] double estimate(const std::vector<PropId>& set) {
+    return estimate(store_.intern(set));
+  }
 
   /// Convenience: the logical plan cost for the goal set.
   [[nodiscard]] double c_logical(const std::vector<PropId>& goal_set) {
     return estimate(goal_set);
   }
+
+  /// The plan's set store; the RG interns its child sets here.
+  [[nodiscard]] SetStore& sets() { return store_; }
 
   [[nodiscard]] bool hit_limit() const { return hit_limit_; }
 
@@ -80,23 +94,56 @@ class Slrg {
   [[nodiscard]] std::uint64_t symmetry_pruned() const { return symmetry_pruned_; }
 
  private:
-  struct SetHash {
-    std::size_t operator()(const std::vector<PropId>& v) const noexcept;
+  static constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();
+
+  /// What is known about one interned set; NaN means absent.
+  struct Memo {
+    /// Exact minimal logical cost (+inf: logically impossible).
+    double exact = kAbsent;
+    /// Admissible lower bound from searches that hit the per-query budget.
+    double weak = kAbsent;
+    /// Cheapest g of the set in the running query; reset when it ends.
+    double best_g = kAbsent;
+  };
+  /// A set node of the running query; `g` is its regression cost from the
+  /// queried set, `parent` its pool index (UINT32_MAX for the root).
+  struct Node {
+    SetId set;
+    std::uint32_t parent = UINT32_MAX;
+    double g = 0.0;
+  };
+  struct Open {
+    double f;
+    double g;
+    std::uint32_t node;
+    bool operator<(const Open& o) const {
+      if (f != o.f) return f > o.f;
+      return g < o.g;  // tie-break: prefer deeper
+    }
   };
 
-  /// Folds the bound `query_result - g(U)` into weak_ for every set the
-  /// finished query generated.
-  void harvest(std::unordered_map<std::vector<PropId>, double, SetHash>& best_g,
-               double query_result);
+  /// Extends memo_ to every interned set (the RG interns sets too).
+  void cover() { memo_.resize(store_.size()); }
+  /// Folds the bound `query_result - g(U)` into the weak memo of every set
+  /// the finished query generated.
+  void harvest(double query_result);
+  /// Clears the query's best_g entries through touched_.
+  void end_query();
 
   const model::CompiledProblem& cp_;
   const Plrg& plrg_;
   CostFn cost_fn_;
   Limits limits_;
   StopToken stop_;
-  std::unordered_map<std::vector<PropId>, double, SetHash> exact_;
-  /// Admissible lower bounds for sets whose search hit the per-query budget.
-  std::unordered_map<std::vector<PropId>, double, SetHash> weak_;
+  SetStore store_;
+  ChunkedArray<Memo> memo_;  // by SetId
+  // Per-query buffers, reused across queries.
+  std::vector<Node> pool_;
+  std::vector<Open> open_;        // binary heap (std::push_heap order)
+  std::vector<SetId> touched_;    // sets with a best_g in this query
+  std::vector<PropId> regressed_;
+  std::vector<ActionId> cands_;
+  std::vector<char> used_;
   std::uint64_t generated_ = 0;
   std::uint64_t memo_hits_ = 0;
   std::uint64_t memo_misses_ = 0;
@@ -104,14 +151,5 @@ class Slrg {
   bool first_query_ = true;
   bool hit_limit_ = false;
 };
-
-/// Regression of a proposition set over an action: (set \ supported) + pre.
-/// `supported` uses the achiever index (so level closure participates).
-[[nodiscard]] std::vector<PropId> regress_set(const model::CompiledProblem& cp,
-                                              const std::vector<PropId>& set, ActionId a);
-
-/// True when the action supports at least one member of the set.
-[[nodiscard]] bool action_supports_any(const model::CompiledProblem& cp,
-                                       const std::vector<PropId>& set, ActionId a);
 
 }  // namespace sekitei::core

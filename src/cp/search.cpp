@@ -12,24 +12,10 @@ namespace sekitei::cp {
 
 namespace {
 
-/// Regression of a proposition set over one action: drop what the action
-/// supports (through the cross-level closure), add its preconditions.
-std::vector<PropId> regress(const model::CompiledProblem& cp, const std::vector<PropId>& set,
-                            ActionId a) {
-  std::vector<PropId> out;
-  out.reserve(set.size() + cp.actions[a.index()].pre.size());
-  for (PropId p : set) {
-    const auto& ach = cp.achievers_of(p);
-    if (!std::binary_search(ach.begin(), ach.end(), a)) out.push_back(p);
-  }
-  for (PropId q : cp.actions[a.index()].pre) sorted_insert(out, q);
-  return out;
-}
-
 class Search {
  public:
   Search(const model::CompiledProblem& cp, const Options& options, Bound& bound)
-      : cp_(cp), opt_(options), bound_(bound), replayer_(cp) {}
+      : cp_(cp), opt_(options), bound_(bound), replayer_(cp), commute_(cp) {}
 
   Result run();
 
@@ -51,7 +37,6 @@ class Search {
     std::size_t next = 0;
   };
 
-  [[nodiscard]] bool independent(ActionId a, ActionId b);
   [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
   void enter(std::uint32_t idx);
 
@@ -63,7 +48,7 @@ class Search {
 
   std::vector<Node> pool_;
   std::vector<Frame> stack_;
-  std::vector<std::vector<VarId>> sorted_vars_;
+  model::Commutation commute_;
 
   bool has_best_ = false;
   double best_g_ = 0.0;
@@ -80,29 +65,6 @@ class Search {
   double min_exceed_ = kInf;
   double completed_lb_ = 0.0;
 };
-
-bool Search::independent(ActionId a, ActionId b) {
-  if (sorted_vars_.empty()) sorted_vars_.resize(cp_.actions.size());
-  auto vars_of = [&](ActionId id) -> const std::vector<VarId>& {
-    std::vector<VarId>& v = sorted_vars_[id.index()];
-    if (v.empty() && !cp_.actions[id.index()].slot_vars.empty()) {
-      v = cp_.actions[id.index()].slot_vars;
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    }
-    return v;
-  };
-  if (sorted_intersects(vars_of(a), vars_of(b))) return false;
-  for (PropId p : cp_.actions[b.index()].pre) {
-    const auto& ach = cp_.achievers_of(p);
-    if (std::binary_search(ach.begin(), ach.end(), a)) return false;
-  }
-  for (PropId p : cp_.actions[a.index()].pre) {
-    const auto& ach = cp_.achievers_of(p);
-    if (std::binary_search(ach.begin(), ach.end(), b)) return false;
-  }
-  return true;
-}
 
 std::vector<ActionId> Search::tail_of(std::uint32_t idx) const {
   std::vector<ActionId> steps;
@@ -180,14 +142,6 @@ void Search::enter(std::uint32_t idx) {
       if (act.node2.valid()) used[act.node2.index()] = 1;
     }
   }
-  auto sym_blocked = [&](NodeId n, NodeId other) {
-    if (!n.valid() || used[n.index()] != 0) return false;
-    for (const std::uint32_t m : cp_.node_class_members[cp_.node_class[n.index()]]) {
-      if (m >= n.index()) break;
-      if (used[m] == 0 && (!other.valid() || m != other.index())) return true;
-    }
-    return false;
-  };
 
   // Branching candidates: achievers of any open proposition.
   std::vector<ActionId> cands;
@@ -198,16 +152,16 @@ void Search::enter(std::uint32_t idx) {
 
   Frame fr;
   fr.pool_base = static_cast<std::uint32_t>(pool_.size());
+  std::vector<PropId> nxt;
   for (ActionId a : cands) {
     // Canonical ordering of adjacent independent actions: explore only the
     // ascending-id order of a commuting pair.
-    if (opt_.commutativity_pruning && via.valid() && a > via && independent(a, via)) continue;
-    if (sym) {
-      const model::GroundAction& act = cp_.actions[a.index()];
-      if (sym_blocked(act.node, act.node2) || sym_blocked(act.node2, act.node)) {
-        ++st_.pruned_symmetry;
-        continue;
-      }
+    if (opt_.commutativity_pruning && via.valid() && a > via && commute_.independent(a, via)) {
+      continue;
+    }
+    if (sym && cp_.twin_blocked(a, used)) {
+      ++st_.pruned_symmetry;
+      continue;
     }
     if (opt_.forbid_repeated_actions) {
       bool seen = false;
@@ -219,7 +173,7 @@ void Search::enter(std::uint32_t idx) {
       }
       if (seen) continue;
     }
-    std::vector<PropId> nxt = regress(cp_, state, a);
+    model::regress(cp_, state, a, nxt);
     if (nxt == state) continue;
     const double h = bound_.estimate(nxt);
     if (h == kInf) continue;
@@ -235,7 +189,7 @@ void Search::enter(std::uint32_t idx) {
       continue;
     }
     const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(Node{a, idx, std::move(nxt), g2});
+    pool_.push_back(Node{a, idx, nxt, g2});
     if (!replayer_.replay(tail_of(child), /*from_init=*/false, model::ReplayMode::Optimistic)) {
       ++st_.pruned_by_propagation;
       pool_.pop_back();

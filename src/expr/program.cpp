@@ -88,7 +88,13 @@ double Program::eval(std::span<const double> slots) const {
 }
 
 Interval Program::eval_interval(std::span<const Interval> slots) const {
-  Interval stack[64];
+  // Uninitialized storage: Interval's member defaults would otherwise write
+  // all 64 entries (1.5 KiB) on every call before anything is evaluated.
+  union Stack {
+    Stack() {}
+    Interval v[64];
+  } storage;
+  Interval* const stack = storage.v;
   std::size_t sp = 0;
   for (const Instr& ins : instrs_) {
     switch (ins.op) {

@@ -19,6 +19,51 @@ const std::vector<ActionId>& CompiledProblem::achievers_of(PropId p) const {
 
 bool CompiledProblem::init_holds(PropId p) const { return sorted_contains(init_props, p); }
 
+bool CompiledProblem::twin_blocked(ActionId a, const std::vector<char>& used) const {
+  auto blocked = [&](NodeId n, NodeId other) {
+    if (!n.valid() || used[n.index()] != 0) return false;
+    for (const std::uint32_t m : node_class_members[node_class[n.index()]]) {
+      if (m >= n.index()) break;
+      if (used[m] == 0 && (!other.valid() || m != other.index())) return true;
+    }
+    return false;
+  };
+  const GroundAction& act = actions[a.index()];
+  return blocked(act.node, act.node2) || blocked(act.node2, act.node);
+}
+
+bool Commutation::independent(ActionId a, ActionId b) {
+  if (sorted_vars_.empty()) sorted_vars_.resize(cp_.actions.size());
+  auto vars_of = [&](ActionId id) -> const std::vector<VarId>& {
+    std::vector<VarId>& v = sorted_vars_[id.index()];
+    if (v.empty() && !cp_.actions[id.index()].slot_vars.empty()) {
+      v = cp_.actions[id.index()].slot_vars;
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+    }
+    return v;
+  };
+  if (sorted_intersects(vars_of(a), vars_of(b))) return false;
+  auto supports = [&](ActionId x, ActionId y) {  // x achieves a precondition of y
+    for (PropId p : cp_.actions[y.index()].pre) {
+      const auto& ach = cp_.achievers_of(p);
+      if (std::binary_search(ach.begin(), ach.end(), x)) return true;
+    }
+    return false;
+  };
+  return !supports(a, b) && !supports(b, a);
+}
+
+void regress(const CompiledProblem& cp, std::span<const PropId> set, ActionId a,
+             std::vector<PropId>& out) {
+  out.clear();
+  for (PropId p : set) {
+    const auto& ach = cp.achievers_of(p);
+    if (!std::binary_search(ach.begin(), ach.end(), a)) out.push_back(p);
+  }
+  for (PropId q : cp.actions[a.index()].pre) sorted_insert(out, q);
+}
+
 std::string CompiledProblem::describe(PropId p) const {
   const PropKey& k = props.key(p);
   std::ostringstream os;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,13 @@ class CompiledProblem {
   [[nodiscard]] const std::vector<ActionId>& achievers_of(PropId p) const;
   [[nodiscard]] bool init_holds(PropId p) const;
 
+  /// Symmetry pruning's canonical-twin test: true when action `a` brings in
+  /// a node that `used` (by node index) leaves unmarked while a strictly
+  /// smaller twin of it, other than the action's second node, is unmarked
+  /// too.  The twin's branch is then an automorphism image of this one at
+  /// the same cost.  Only meaningful with an attached partition.
+  [[nodiscard]] bool twin_blocked(ActionId a, const std::vector<char>& used) const;
+
   /// Human-readable action rendering, e.g.
   /// "place Splitter on n0 [M:L1 -> T:L1,I:L1]" or "cross Z n0->n1 [L1->L1]".
   [[nodiscard]] std::string describe(ActionId a) const;
@@ -91,6 +99,27 @@ class CompiledProblem {
 
  private:
   static const std::vector<ActionId> kNoAchievers;
+};
+
+/// Regression of a proposition set over one action, (set \ supported) + pre,
+/// written into `out` (cleared first; its capacity is reused).  `supported`
+/// goes through the achiever index, so the level closure takes part.  Both
+/// search backends (core's SLRG and RG, and cp) regress through this one copy.
+void regress(const CompiledProblem& cp, std::span<const PropId> set, ActionId a,
+             std::vector<PropId>& out);
+
+/// Commutativity test of the searches' canonical ordering: `a`, executing
+/// right before `b`, commutes with it when their located variables are
+/// disjoint and neither supports the other's preconditions (through the
+/// level closure).  Each action's sorted variables are built on first use.
+class Commutation {
+ public:
+  explicit Commutation(const CompiledProblem& cp) : cp_(cp) {}
+  [[nodiscard]] bool independent(ActionId a, ActionId b);
+
+ private:
+  const CompiledProblem& cp_;
+  std::vector<std::vector<VarId>> sorted_vars_;  // by ActionId
 };
 
 /// Grounds and levels `problem` under `scenario`.  Raises on malformed input

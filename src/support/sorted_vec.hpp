@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace sekitei {
@@ -29,6 +30,11 @@ template <class T>
 /// True when every element of `sub` occurs in `sup` (both sorted unique).
 template <class T>
 [[nodiscard]] bool sorted_subset(const std::vector<T>& sub, const std::vector<T>& sup) {
+  return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
+}
+
+template <class T>
+[[nodiscard]] bool sorted_subset(std::span<const T> sub, const std::vector<T>& sup) {
   return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
 }
 
@@ -67,9 +73,9 @@ template <class T>
   return false;
 }
 
-/// FNV-1a style hash of a sorted id vector (for set memo tables).
-template <class T>
-[[nodiscard]] std::size_t hash_sorted(const std::vector<T>& xs) {
+/// FNV-1a style hash of a sorted id range (for set memo tables).
+template <class Range>
+[[nodiscard]] std::size_t hash_sorted(const Range& xs) {
   std::size_t h = 1469598103934665603ULL;
   for (const auto& x : xs) {
     h ^= static_cast<std::size_t>(x.value);

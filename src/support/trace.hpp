@@ -131,6 +131,11 @@ inline void instant(const char* name, const char* cat = "planner") {
 
 #else  // SEKITEI_TRACE_DISABLED: the instrumentation vanishes entirely.
 
+// An inline namespace of their own gives the no-op variants distinct
+// mangled names, so a TU built with them and one built with the real ones
+// link into one program without two definitions of one inline class.
+inline namespace disabled {
+
 class Span {
  public:
   explicit Span(const char*, const char* = "planner") {}
@@ -141,6 +146,8 @@ class Span {
 
 inline void counter(const char*, double) {}
 inline void instant(const char*, const char* = "planner") {}
+
+}  // namespace disabled
 
 #endif  // SEKITEI_TRACE_DISABLED
 

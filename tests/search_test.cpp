@@ -1,9 +1,13 @@
-// Tests for the search phases: PLRG admissibility and relevance, the SLRG
-// set-cost oracle, and RG/A* optimality properties.
+// Tests for the search phases: PLRG admissibility and relevance, the
+// proposition-set store, the SLRG set-cost oracle, and RG/A* optimality
+// properties.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/planner.hpp"
 #include "core/plrg.hpp"
+#include "core/set_store.hpp"
 #include "core/slrg.hpp"
 #include "domains/media.hpp"
 #include "model/compile.hpp"
@@ -109,6 +113,89 @@ TEST(Hmax, GoalRelevantFixpointEqualsWholeGraphFixpoint) {
   }
 }
 
+std::vector<PropId> props(std::initializer_list<std::uint32_t> ids) {
+  std::vector<PropId> out;
+  for (const std::uint32_t i : ids) out.emplace_back(i);
+  return out;
+}
+
+TEST(SetStore, EqualRunsShareOneId) {
+  SetStore store;
+  const SetId a = store.intern(props({1, 4, 9}));
+  const SetId b = store.intern(props({1, 4, 10}));
+  const SetId prefix = store.intern(props({1, 4}));
+  EXPECT_EQ(store.intern(props({1, 4, 9})), a);
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, prefix);
+  EXPECT_NE(b, prefix);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_TRUE(std::ranges::equal(store.get(a), props({1, 4, 9})));
+  EXPECT_TRUE(std::ranges::equal(store.get(b), props({1, 4, 10})));
+}
+
+TEST(SetStore, EmptySetIsOneSet) {
+  SetStore store;
+  const SetId empty = store.intern(std::vector<PropId>{});
+  EXPECT_EQ(store.intern(std::span<const PropId>{}), empty);
+  EXPECT_TRUE(store.get(empty).empty());
+  EXPECT_NE(store.intern(props({0})), empty);
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(SetStore, SetLongerThanABlock) {
+  SetStore store;
+  std::vector<PropId> big;
+  for (std::uint32_t i = 0; i < SetStore::kBlock + 7; ++i) big.emplace_back(i);
+  const SetId before = store.intern(props({3}));
+  const SetId id = store.intern(big);
+  const SetId after = store.intern(props({5}));
+  EXPECT_EQ(store.intern(big), id);
+  EXPECT_TRUE(std::ranges::equal(store.get(id), big));
+  EXPECT_TRUE(std::ranges::equal(store.get(before), props({3})));
+  EXPECT_TRUE(std::ranges::equal(store.get(after), props({5})));
+}
+
+TEST(SetStore, SpansSurviveBlockBoundariesAndIndexGrowth) {
+  // 3000 sets of 90-109 ids fill several 64Ki-id blocks and double the
+  // 1024-slot index a few times; every span taken along the way must still
+  // point at its set, and every set must still find its id.
+  SetStore store;
+  std::vector<std::vector<PropId>> sets;
+  std::vector<std::span<const PropId>> spans;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    std::vector<PropId> s;
+    for (std::uint32_t j = 0; j < 90 + i % 20; ++j) s.emplace_back(i + j * 3001);
+    const SetId id = store.intern(s);
+    ASSERT_EQ(id.index(), i);
+    spans.push_back(store.get(id));
+    sets.push_back(std::move(s));
+  }
+  for (std::uint32_t i = 0; i < sets.size(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(spans[i], sets[i])) << i;
+    EXPECT_EQ(store.get(SetId(i)).data(), spans[i].data()) << i;
+    EXPECT_EQ(store.intern(sets[i]).index(), i) << i;
+  }
+  EXPECT_EQ(store.size(), sets.size());
+}
+
+struct ConstantHash {
+  std::uint64_t operator()(std::span<const PropId>) const noexcept { return 7; }
+};
+
+TEST(SetStore, CollidingHashesResolveByContents) {
+  // Every set hashes alike, so lookups probe one long cluster (through two
+  // index doublings) and must tell the sets apart by their contents.
+  BasicSetStore<ConstantHash> store;
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    ASSERT_EQ(store.intern(props({i, i + 1})).index(), i);
+  }
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    EXPECT_EQ(store.intern(props({i, i + 1})).index(), i);
+    EXPECT_TRUE(std::ranges::equal(store.get(SetId(i)), props({i, i + 1})));
+  }
+  EXPECT_EQ(store.intern(props({0})).index(), 2000u);
+}
+
 TEST(Slrg, GoalSetCostDominatesPlrg) {
   // "The estimate of the cost of a set of propositions by the SLRG is more
   //  accurate than that obtained directly from the PLRG."
@@ -160,6 +247,31 @@ TEST(Slrg, SubsetOfInitCostsZero) {
   Slrg slrg(cp, plrg, leveled_cost(cp));
   ASSERT_FALSE(cp.init_props.empty());
   EXPECT_DOUBLE_EQ(slrg.estimate({cp.init_props.front()}), 0.0);
+}
+
+TEST(Slrg, EstimateByVectorAndBySetIdAgree) {
+  // The vector overload interns and forwards: two fresh oracles asked the
+  // same sets, one by vector and one by id, answer and work alike.
+  auto inst = domains::media::small();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  Plrg plrg(cp, leveled_cost(cp));
+  plrg.build(std::span<const PropId>(cp.goal_props));
+  Slrg by_vector(cp, plrg, leveled_cost(cp));
+  Slrg by_id(cp, plrg, leveled_cost(cp));
+  std::vector<std::vector<PropId>> queries{cp.goal_props};
+  std::vector<PropId> regressed;
+  for (PropId p : cp.goal_props) {
+    for (ActionId a : cp.achievers_of(p)) {
+      model::regress(cp, cp.goal_props, a, regressed);
+      queries.push_back(regressed);
+    }
+  }
+  for (const std::vector<PropId>& q : queries) {
+    EXPECT_EQ(by_vector.estimate(q), by_id.estimate(by_id.sets().intern(q)));
+  }
+  EXPECT_EQ(by_vector.set_count(), by_id.set_count());
+  EXPECT_EQ(by_vector.memo_hits(), by_id.memo_hits());
+  EXPECT_EQ(by_vector.memo_misses(), by_id.memo_misses());
 }
 
 TEST(Rg, PlanCostEqualsSumOfStepCosts) {
@@ -250,6 +362,19 @@ TEST(Rg, SearchIsDeterministic) {
   EXPECT_EQ(a.stats.replay_calls, b.stats.replay_calls);
   EXPECT_EQ(a.stats.slrg_sets, b.stats.slrg_sets);
 
+}
+
+TEST(Rg, SmallCExactCountsArePinned) {
+  // How sets are stored must not change what the search does: these are
+  // the counts of the vector-keyed memos that the SetStore replaced.
+  auto inst = domains::media::small();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  const PlanResult r = plan_validated(cp);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.stats.slrg_sets, 4441u);
+  EXPECT_EQ(r.stats.rg_expansions, 2024u);
+  EXPECT_EQ(r.stats.rg_nodes, 16641u);
+  EXPECT_EQ(r.stats.replay_calls, 2071u);
 }
 
 TEST(Rg, ReplayGatePrunesResourceInfeasibleTails) {

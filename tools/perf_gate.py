@@ -22,6 +22,12 @@ Gated metrics (lower_is_better marked "<"):
     symmetry.speedup         >  unpruned p50 over twin-pruned p50 on the
                                 symmetric-star bench (bench_symmetry record,
                                 max across families)
+    symmetry.pruned_p50_ms   <  twin-pruned p50 of the bench_symmetry "star"
+                                record; each timed run includes compile and
+                                attach_symmetry, so a faster search lowers
+                                the speedup ratio while both sides speed up,
+                                and this absolute time keeps the pruned path
+                                guarded
     cp.speedup               >  CP-without-symmetry p50 over CP-with on the
                                 symmetric-star bench (bench_cp "star" record;
                                 the table2 comparison rows carry no speedup
@@ -60,7 +66,7 @@ def collect(paths):
     table2_search, table2_total = [], []
     answers = {}
     best_rps, warm_rps, netload_rps, drift_speedup = None, None, None, None
-    symmetry_speedup, cp_speedup = None, None
+    symmetry_speedup, symmetry_pruned, cp_speedup = None, None, None
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -100,6 +106,10 @@ def collect(paths):
                     sp = float(rec.get("speedup", 0.0))
                     symmetry_speedup = (sp if symmetry_speedup is None
                                         else max(symmetry_speedup, sp))
+                    if rec.get("family") == "star" and "pruned_p50_ms" in rec:
+                        ms = float(rec["pruned_p50_ms"])
+                        symmetry_pruned = (ms if symmetry_pruned is None
+                                           else min(symmetry_pruned, ms))
                 elif name == "cp" and "speedup" in rec:
                     sp = float(rec["speedup"])
                     cp_speedup = (sp if cp_speedup is None
@@ -127,6 +137,9 @@ def collect(paths):
     if symmetry_speedup is not None:
         current["symmetry.speedup"] = {
             "value": round(symmetry_speedup, 3), "lower_is_better": False}
+    if symmetry_pruned is not None:
+        current["symmetry.pruned_p50_ms"] = {
+            "value": round(symmetry_pruned, 3), "lower_is_better": True}
     if cp_speedup is not None:
         current["cp.speedup"] = {
             "value": round(cp_speedup, 3), "lower_is_better": False}
