@@ -7,10 +7,12 @@
 //             problem (lex-leader symmetry breaking on / off); the medians'
 //             ratio is the "cp.speedup" number the perf gate tracks — the
 //             record carries the "speedup" key.
-//   table2    Tiny scenarios B-E and Small scenario C re-solved by both
-//             backends; each row asserts cost agreement and reports both
-//             wall clocks.  These records deliberately carry NO "speedup"
-//             key so the gate's max() only ever sees the star number.
+//   table2    Tiny scenarios B-E, Small C and E, and Large C re-solved by
+//             both backends; each row asserts cost agreement and reports
+//             both wall clocks, CP's branches and its cost-bounded passes.
+//             The gate sums the rows' cp_ms into "cp.table2_ms_total".
+//             These records deliberately carry NO "speedup" key so the
+//             gate's max() only ever sees the star number.
 //
 // Each row emits one machine-readable JSON line (grep '^{"bench"').
 #include <algorithm>
@@ -176,10 +178,11 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
     return 1;
   }
   const double cost = rg.ok() ? rg.plan->cost_lb : 0.0;
-  std::printf("  %-5s %c | %11.2f | rg %9.2f ms (%7llu exp) | cp %9.2f ms (%8llu branches)\n",
-              net_name, sc_name, cost, rg_ms,
-              (unsigned long long)rg.stats.rg_expansions, cp_ms,
-              (unsigned long long)bnb.stats.branches);
+  std::printf(
+      "  %-5s %c | %11.2f | rg %9.2f ms (%7llu exp) | cp %9.2f ms (%8llu branches, %3llu "
+      "passes)\n",
+      net_name, sc_name, cost, rg_ms, (unsigned long long)rg.stats.rg_expansions, cp_ms,
+      (unsigned long long)bnb.stats.branches, (unsigned long long)bnb.stats.passes);
   benchjson::emit("cp", {benchjson::kv("family", "table2"),
                          benchjson::kv("net", net_name),
                          benchjson::kv("scenario", scenario),
@@ -188,7 +191,8 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
                          benchjson::kv("rg_ms", rg_ms),
                          benchjson::kv("cp_ms", cp_ms),
                          benchjson::kv("rg_expansions", rg.stats.rg_expansions),
-                         benchjson::kv("cp_branches", bnb.stats.branches)},
+                         benchjson::kv("cp_branches", bnb.stats.branches),
+                         benchjson::kv("passes", bnb.stats.passes)},
                   nullptr);
   return 0;
 }
@@ -205,6 +209,8 @@ int main() {
   const auto tiny = domains::media::tiny();
   for (char sc : {'B', 'C', 'D', 'E'}) rc |= run_table2_row("tiny", *tiny, sc);
   const auto small = domains::media::small();
-  rc |= run_table2_row("small", *small, 'C');
+  for (char sc : {'C', 'E'}) rc |= run_table2_row("small", *small, sc);
+  const auto large = domains::media::large();
+  rc |= run_table2_row("large", *large, 'C');
   return rc;
 }

@@ -39,6 +39,7 @@ class Search {
 
   [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
   void enter(std::uint32_t idx);
+  void note_cut(double f);
 
   const model::CompiledProblem& cp_;
   const Options& opt_;
@@ -59,11 +60,15 @@ class Search {
   std::uint64_t tick_every_ = 1;
 
   // Iterative cost bounding: each DFS pass explores only f <= threshold_;
-  // min_exceed_ collects the smallest f cut off, becoming the next
-  // threshold.  completed_lb_ is the certified bound from exhausted passes.
+  // min_exceed_ collects the smallest f cut off, and completed_lb_ is the
+  // certified bound from exhausted passes.  cut_ is a max-heap of the
+  // cut_k_ smallest f values cut off in this pass (cut_k_ = the previous
+  // pass's branches); its top becomes the next threshold.
   double threshold_ = kInf;
   double min_exceed_ = kInf;
   double completed_lb_ = 0.0;
+  std::vector<double> cut_;
+  std::uint64_t cut_k_ = 1;
 };
 
 std::vector<ActionId> Search::tail_of(std::uint32_t idx) const {
@@ -74,6 +79,18 @@ std::vector<ActionId> Search::tail_of(std::uint32_t idx) const {
     cur = pool_[cur].parent;
   }
   return steps;  // deepest node's action first == execution order
+}
+
+void Search::note_cut(double f) {
+  min_exceed_ = std::min(min_exceed_, f);
+  if (cut_.size() < cut_k_) {
+    cut_.push_back(f);
+    std::push_heap(cut_.begin(), cut_.end());
+  } else if (f < cut_.front()) {
+    std::pop_heap(cut_.begin(), cut_.end());
+    cut_.back() = f;
+    std::push_heap(cut_.begin(), cut_.end());
+  }
 }
 
 void Search::enter(std::uint32_t idx) {
@@ -180,7 +197,7 @@ void Search::enter(std::uint32_t idx) {
     const double g2 = g + cp_.actions[a.index()].cost_lb;
     const double f = g2 + h;
     if (f > threshold_) {
-      min_exceed_ = std::min(min_exceed_, f);
+      note_cut(f);
       ++st_.pruned_by_bound;
       continue;
     }
@@ -229,14 +246,22 @@ Result Search::run() {
   // found optimal (cut subtrees have f > threshold_ >= incumbent g, and the
   // bound is admissible: f of a node lower-bounds every goal below it) or,
   // with no incumbent and nothing cut, proving infeasibility — or it raises
-  // the threshold to the cheapest cut f and dives again.  This is what
-  // keeps plain DFS sound AND complete here: an unbounded first dive can
-  // wander a deep junk subtree forever before finding any incumbent to
-  // prune with, while each bounded pass keeps tails near the optimum.
+  // the threshold and dives again.  This is what keeps plain DFS sound AND
+  // complete here: an unbounded first dive can wander a deep junk subtree
+  // forever before finding any incumbent to prune with, while each bounded
+  // pass keeps tails near the optimum.
+  //
+  // Controlled re-expansion (IDA*_CR, see search.hpp): the next threshold
+  // is the k-th smallest f cut off by the pass, k = the previous pass's
+  // branches.  Raising it only to the cheapest cut f re-walks the whole
+  // tree for every distinct f value (Small/C: 286 passes, 501k branches).
   const double root_f = bound_.estimate(cp_.goal_props);
   threshold_ = root_f;
   while (!abort_) {
+    const std::uint64_t pass_start = st_.branches;
+    ++st_.passes;
     min_exceed_ = kInf;
+    cut_.clear();
     pool_.clear();
     stack_.clear();
     pool_.push_back(Node{ActionId{}, 0, cp_.goal_props, 0.0});
@@ -267,9 +292,10 @@ Result Search::run() {
     if (has_best_) break;          // pass completed: the incumbent is optimal
     if (min_exceed_ == kInf) break;  // nothing cut: the whole space is empty
     completed_lb_ = min_exceed_;   // optimum proven > threshold_
-    threshold_ = min_exceed_;
+    threshold_ = std::max(min_exceed_, cut_.front());
+    cut_k_ = st_.branches - pass_start;
     SEKITEI_LOG_TRACE("cp.search", "raising threshold", log::kv("threshold", threshold_),
-                      log::kv("branches", st_.branches));
+                      log::kv("passes", st_.passes), log::kv("branches", st_.branches));
   }
 
   st_.propagations = replayer_.calls();
@@ -287,7 +313,8 @@ Result Search::run() {
     }
     SEKITEI_LOG_INFO("cp.search", r.ok() ? "optimum proven" : "infeasibility proven",
                      log::kv("cost", r.cost), log::kv("branches", st_.branches),
-                     log::kv("nodes", st_.nodes), log::kv("ms", st_.search_ms));
+                     log::kv("passes", st_.passes), log::kv("nodes", st_.nodes),
+                     log::kv("ms", st_.search_ms));
     r.stats = st_;
     return r;
   }

@@ -5,11 +5,26 @@
 // commitment to one leveled ground action, so a complete assignment is a
 // plan tail.  The search is depth-first branch-and-bound: dive best-bound
 // first, record validated incumbents, and prune any partial assignment whose
-// g + lower bound reaches the incumbent's cost.  Constraint propagation
-// runs the partial assignment's tail through the shared replay kernel
-// (model::Replayer, Optimistic mode) and rejects it when the optimistic map
-// empties; admissible bounds (cp::Bound) come from the shared hmax fixpoint
-// (model/hmax.hpp) plus per-component best-level relaxations.
+// g + lower bound reaches the incumbent's cost.
+//
+// The dives are cost-bounded passes (IDA*-style).  A pass at threshold T
+// cuts every node with f = g + h > T.  When it completes with no incumbent
+// and a non-empty cut, the next threshold is the k-th smallest f it cut,
+// k = the branches of the pass before it (1 for the first pass): controlled
+// re-expansion (IDA*_CR, Sarkar et al., AIJ 1991), so the tree about
+// doubles per pass and the passes together cost a constant times the last
+// one.  Soundness holds for any T >= the smallest cut f: a completed pass
+// accepted only incumbents with g <= f <= T and cut only nodes with f > T,
+// so its incumbent is optimal (h is admissible), and a completed pass that
+// cut nothing and found no incumbent proves infeasibility.  The smallest
+// cut f of a pass without an incumbent is a certified lower bound on the
+// optimum (Stats::lower_bound when the search is cut short).
+//
+// Constraint propagation runs the partial assignment's tail through the
+// shared replay kernel (model::Replayer, Optimistic mode) and rejects it
+// when the optimistic map empties; admissible bounds (cp::Bound) come from
+// the shared hmax fixpoint (model/hmax.hpp) plus per-component best-level
+// relaxations.
 //
 // Symmetry breaking: the node equivalence classes attached by
 // analysis::attach_symmetry become lex-leader constraints — a fresh node of
@@ -45,6 +60,7 @@ struct Stats {
   std::uint64_t pruned_symmetry = 0;
   std::uint64_t peak_depth = 0;  // deepest DFS stack
   std::uint64_t incumbents = 0;  // incumbent improvements recorded
+  std::uint64_t passes = 0;      // cost-bounded DFS passes started
   std::uint64_t sim_rejections = 0;
   /// Cost of the best incumbent; meaningful when incumbents > 0.
   double incumbent_cost = 0.0;

@@ -339,6 +339,7 @@ void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary
     core::PlanResult result = rungs[i].solve();
     if (i > 0) r.fallback_ms += rung_watch.elapsed_ms();
     r.solve_ms = watch.elapsed_ms();
+    r.ladder = rungs[i].step;
     // A plan-less answer reports the first rung's stats and failure unless
     // a later rung ends the ladder with its own.
     if (i == 0) {
@@ -351,7 +352,6 @@ void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary
       r.plan = std::move(result.plan);
       if (i == 0 && !stopped) {
         r.outcome = Outcome::Solved;
-        r.ladder = LadderStep::Primary;
         r.failure.clear();
         return;
       }
@@ -365,7 +365,6 @@ void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary
                       stop_reason_name(token.reason()), rungs[0].failure,
                       r.stats.incumbent_cost, r.stats.open_cost_lb);
       } else {
-        r.ladder = rungs[i].step;
         std::snprintf(buf, sizeof buf, "%s (cost lb %.3f)", rungs[i].failure,
                       r.plan->cost_lb);
       }
@@ -377,7 +376,8 @@ void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary
       r.stats = result.stats;
       return;
     }
-    if (!stopped && rungs[i].proves_infeasible) {
+    // A search that ran out of its node budget proves nothing.
+    if (!stopped && !result.stats.hit_search_limit && rungs[i].proves_infeasible) {
       r.outcome = Outcome::Infeasible;
       r.stats = result.stats;
       r.failure = result.failure;

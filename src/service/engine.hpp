@@ -66,9 +66,12 @@ struct Rung {
 ///    first rung degraded/anytime_incumbent; from a later rung degraded with
 ///    that rung's step.
 ///  - A stopped rung under a cancelled token answers cancelled.
-///  - A plan-less rung answers infeasible only if it ran unstopped and
-///    proves_infeasible; otherwise the next rung runs, and when none is
-///    left the answer is deadline_exceeded with the first rung's stats.
+///  - A plan-less rung answers infeasible only if it ran unstopped, did not
+///    hit its search limit, and proves_infeasible; otherwise the next rung
+///    runs, and when none is left the answer is deadline_exceeded with the
+///    first rung's stats.
+///  - r.ladder names the last rung that ran (anytime_incumbent for a plan
+///    from a stopped first rung).
 void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary_fraction,
                 PlanResponse& r);
 

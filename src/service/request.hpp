@@ -5,14 +5,14 @@
 // answers with a PlanResponse whose `outcome` classifies what happened:
 //
 //   solved             a validated plan was found
-//   infeasible         the planner proved no plan exists (or exhausted its
-//                      own search limits)
+//   infeasible         the planner proved no plan exists
 //   degraded           the deadline (or a cancel) cut the search short but a
 //                      feasible plan is still returned: the anytime
 //                      incumbent of the stopped first search, or the plan of
 //                      a later rung on the remaining budget.  `ladder`
 //                      records which rung answered.
-//   deadline_exceeded  the request's deadline fired before any plan was found
+//   deadline_exceeded  the request's deadline fired, or a search ran out of
+//                      its node budget, before any plan was found
 //   cancelled          StopSource::request_stop() ended the request early
 //   rejected           the engine refused the request (queue full, no problem)
 //
@@ -31,9 +31,9 @@
 //   rung 2 on the remaining budget ──found──▶ degraded (greedy_fallback |
 //     │ nothing                                          full_replan)
 //     ▼
-//   infeasible (an unstopped rung whose answer is proof: the plain search,
-//   the full replan, the repair search when no replan follows it) /
-//   deadline_exceeded (otherwise)
+//   infeasible (an unstopped rung within its search limit whose answer is
+//   proof: the plain search, the full replan, the repair search when no
+//   replan follows it) / deadline_exceeded (otherwise)
 //
 // On deadline_exceeded/cancelled the response still carries the partial
 // PlannerStats accumulated up to the stop — a served client can see how far
@@ -180,8 +180,8 @@ struct PlanResponse {
   core::PlannerStats stats;
   std::string failure;  // human-readable reason when outcome != solved
 
-  /// Which ladder rung answered (meaningful whenever a plan is present; for
-  /// plan-less outcomes it stays Primary).
+  /// Which ladder rung answered: the rung that produced the plan, or for a
+  /// plan-less outcome the last rung that ran (Primary if none did).
   LadderStep ladder = LadderStep::Primary;
 
   std::uint64_t fingerprint = 0;  // compiled-problem cache key

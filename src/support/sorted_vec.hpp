@@ -38,25 +38,6 @@ template <class T>
   return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
 }
 
-/// sorted-unique set difference: xs \ ys.
-template <class T>
-[[nodiscard]] std::vector<T> sorted_difference(const std::vector<T>& xs,
-                                               const std::vector<T>& ys) {
-  std::vector<T> out;
-  out.reserve(xs.size());
-  std::set_difference(xs.begin(), xs.end(), ys.begin(), ys.end(), std::back_inserter(out));
-  return out;
-}
-
-/// sorted-unique set union.
-template <class T>
-[[nodiscard]] std::vector<T> sorted_union(const std::vector<T>& xs, const std::vector<T>& ys) {
-  std::vector<T> out;
-  out.reserve(xs.size() + ys.size());
-  std::set_union(xs.begin(), xs.end(), ys.begin(), ys.end(), std::back_inserter(out));
-  return out;
-}
-
 /// True when the two sorted ranges share at least one element.
 template <class T>
 [[nodiscard]] bool sorted_intersects(const std::vector<T>& xs, const std::vector<T>& ys) {

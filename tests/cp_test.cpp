@@ -2,8 +2,9 @@
 // agree with the RG A* search on every example instance (same optimal cost,
 // same infeasibility verdicts), its lex-leader symmetry breaking must prune
 // branches without changing the answer, a mid-search deadline must surface
-// partial stats with stats.stopped, and mode=cp through the planning service
-// must stay byte-identical across worker counts.
+// partial stats with stats.stopped, mode=cp through the planning service
+// must stay byte-identical across worker counts, and the cost-bounded passes
+// must keep Table-2 branch counts pinned and every row inside the budget.
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "analysis/symmetry.hpp"
 #include "core/planner.hpp"
 #include "cp/search.hpp"
+#include "domains/media.hpp"
 #include "model/compile.hpp"
 #include "model/textio.hpp"
 #include "service/engine.hpp"
@@ -60,6 +62,21 @@ core::PlanResult run_mode(const model::CompiledProblem& cp,
   core::Sekitei planner(cp, opt);
   sim::Executor exec(cp);
   return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+}
+
+/// CP on one Table-2 row, with the simulator as the acceptance check (as the
+/// planner facade and bench_cp wire it).
+cp::Result solve_table2(const domains::media::Instance& inst, char scenario) {
+  const model::CompiledProblem cp_model =
+      model::compile(inst.problem, domains::media::scenario(scenario));
+  sim::Executor exec(cp_model);
+  cp::Options opt;
+  opt.validate = [&](std::span<const ActionId> steps, double) {
+    core::Plan plan;
+    plan.steps.assign(steps.begin(), steps.end());
+    return exec.execute(plan).feasible;
+  };
+  return cp::solve(cp_model, opt);
 }
 
 /// Hub-and-spoke drop-off: s -LAN- m_i -WAN- cl for K link-for-link
@@ -285,7 +302,7 @@ TEST(CpBackend, DeadlineMidSearchReturnsPartialStatsWithStopped) {
   };
   const cp::Result r = cp::solve(inst.cp, opt);
 
-  // small.sk needs ~500k visited nodes exhaustively; four 64-node ticks stop
+  // small.sk needs ~14k visited nodes exhaustively; four 64-node ticks stop
   // the search far short of that, mid-pass.
   EXPECT_TRUE(r.stats.stopped);
   EXPECT_FALSE(r.stats.proven);
@@ -295,6 +312,45 @@ TEST(CpBackend, DeadlineMidSearchReturnsPartialStatsWithStopped) {
   if (!r.ok()) {
     EXPECT_NE(r.failure.find("stopped"), std::string::npos) << r.failure;
   }
+}
+
+TEST(CpBackend, SmallCExactCountsArePinned) {
+  // Each cost-bounded pass admits as many cut nodes as the previous pass
+  // visited; raising the threshold to the cheapest cut f instead took 286
+  // passes and 501306 branches here.
+  const cp::Result r = solve_table2(*domains::media::small(), 'C');
+  ASSERT_TRUE(r.ok()) << r.failure;
+  EXPECT_TRUE(r.stats.proven);
+  EXPECT_NEAR(r.cost, 63.85, 1e-9);
+  EXPECT_EQ(r.stats.branches, 13766u);
+  EXPECT_EQ(r.stats.passes, 13u);
+}
+
+TEST(CpBackend, SmallEAndLargeCDAreProvenWithinTheBudget) {
+  // Raising the threshold to the cheapest cut f, these exhaust the
+  // 2^21-branch budget without a plan.
+  const auto small = domains::media::small();
+  const auto large = domains::media::large();
+  for (const auto& [inst, scenario] : {std::pair{small.get(), 'E'}, std::pair{large.get(), 'C'},
+                                       std::pair{large.get(), 'D'}}) {
+    SCOPED_TRACE(scenario);
+    const cp::Result r = solve_table2(*inst, scenario);
+    ASSERT_TRUE(r.ok()) << r.failure;
+    EXPECT_TRUE(r.stats.proven);
+    EXPECT_FALSE(r.stats.hit_node_limit);
+    EXPECT_NEAR(r.cost, 63.85, 1e-9);  // the RG's optimum
+  }
+}
+
+TEST(CpBackend, TinyBAndSmallBVisitNoExtraBranches) {
+  // The larger threshold steps cost these rows nothing: raising the
+  // threshold to the cheapest cut f visits 109 and 587 branches.
+  const cp::Result tiny = solve_table2(*domains::media::tiny(), 'B');
+  const cp::Result small = solve_table2(*domains::media::small(), 'B');
+  ASSERT_TRUE(tiny.ok()) << tiny.failure;
+  ASSERT_TRUE(small.ok()) << small.failure;
+  EXPECT_LE(tiny.stats.branches, 109u);
+  EXPECT_LE(small.stats.branches, 587u);
 }
 
 TEST(CpBackend, StoppedStatsSurfaceThroughThePlannerFacade) {

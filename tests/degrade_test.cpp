@@ -185,7 +185,9 @@ TEST(DegradeTest, CpRequestCutWithoutIncumbentGetsNoGreedyRung) {
 
 // ---- The runner over fake rungs ------------------------------------------
 
-enum class Answer { None, Plan, StoppedPlan, NoPlan, StoppedNoPlan };
+/// LimitNoPlan: the search ran out of its node budget, unstopped, with no
+/// plan — no proof of anything.
+enum class Answer { None, Plan, StoppedPlan, NoPlan, StoppedNoPlan, LimitNoPlan };
 enum class Stop { Live, NoDeadline, Expired, Cancelled };
 
 /// Canned planner answer of rung `tag`: its stats carry the tag in
@@ -195,6 +197,7 @@ core::PlanResult canned(Answer a, std::uint64_t tag) {
   core::PlanResult r;
   r.stats.rg_expansions = tag;
   r.stats.stopped = a == Answer::StoppedPlan || a == Answer::StoppedNoPlan;
+  r.stats.hit_search_limit = a == Answer::LimitNoPlan;
   r.stats.incumbent_cost = 5.0;
   r.stats.open_cost_lb = 4.0;
   r.failure = "rung " + std::to_string(tag);
@@ -241,17 +244,27 @@ const Row kRows[] = {
      Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
     {"greedy plan", List::Plain, Stop::Live, Answer::StoppedNoPlan, Answer::Plan, false,
      Outcome::Degraded, LadderStep::GreedyFallback, 2, "second rung (cost lb 20.000)"},
+    // A plan-less end names the last rung that ran.
     {"greedy infeasible", List::Plain, Stop::Live, Answer::StoppedNoPlan, Answer::NoPlan, false,
-     Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
+     Outcome::DeadlineExceeded, LadderStep::GreedyFallback, 1, "rung 1"},
     {"greedy stopped", List::Plain, Stop::Live, Answer::StoppedNoPlan, Answer::StoppedNoPlan,
-     false, Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
+     false, Outcome::DeadlineExceeded, LadderStep::GreedyFallback, 1, "rung 1"},
     {"greedy cancelled", List::Plain, Stop::Live, Answer::StoppedNoPlan, Answer::StoppedNoPlan,
-     true, Outcome::Cancelled, LadderStep::Primary, 2, "rung 1"},
+     true, Outcome::Cancelled, LadderStep::GreedyFallback, 2, "rung 1"},
+    // An exhausted search budget is no proof of infeasibility.
+    {"plain search limit, greedy plan", List::Plain, Stop::Live, Answer::LimitNoPlan,
+     Answer::Plan, false, Outcome::Degraded, LadderStep::GreedyFallback, 2,
+     "second rung (cost lb 20.000)"},
+    {"plain search limit, greedy infeasible", List::Plain, Stop::Live, Answer::LimitNoPlan,
+     Answer::NoPlan, false, Outcome::DeadlineExceeded, LadderStep::GreedyFallback, 1,
+     "rung 1"},
     // Cp mode, degrade off or no deadline: the requested search alone.
     {"cp cut without incumbent", List::PlainSingle, Stop::Expired, Answer::StoppedNoPlan,
      Answer::None, false, Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
     {"single proven infeasible", List::PlainSingle, Stop::Live, Answer::NoPlan, Answer::None,
      false, Outcome::Infeasible, LadderStep::Primary, 1, "rung 1"},
+    {"single search limit", List::PlainSingle, Stop::NoDeadline, Answer::LimitNoPlan,
+     Answer::None, false, Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
     // Repair requests: the repair search, then the full replan.
     {"repair solved", List::Repair, Stop::Live, Answer::Plan, Answer::None, false,
      Outcome::Solved, LadderStep::Primary, 1, ""},
@@ -269,21 +282,29 @@ const Row kRows[] = {
      Answer::Plan, false, Outcome::Degraded, LadderStep::FullReplan, 2,
      "second rung (cost lb 20.000)"},
     {"pinned and replan infeasible", List::Repair, Stop::Live, Answer::NoPlan, Answer::NoPlan,
-     false, Outcome::Infeasible, LadderStep::Primary, 2, "rung 2"},
+     false, Outcome::Infeasible, LadderStep::FullReplan, 2, "rung 2"},
     // The unproven pinned infeasibility is no proof: a cut replan answers
     // deadline_exceeded, never infeasible.
     {"pinned infeasible, replan stopped", List::Repair, Stop::Live, Answer::NoPlan,
-     Answer::StoppedNoPlan, false, Outcome::DeadlineExceeded, LadderStep::Primary, 1,
+     Answer::StoppedNoPlan, false, Outcome::DeadlineExceeded, LadderStep::FullReplan, 1,
      "rung 1"},
+    // Nor is a replan that exhausted its search budget, deadline or not.
+    {"pinned infeasible, replan search limit", List::Repair, Stop::NoDeadline, Answer::NoPlan,
+     Answer::LimitNoPlan, false, Outcome::DeadlineExceeded, LadderStep::FullReplan, 1,
+     "rung 1"},
+    {"repair search limit, replan infeasible", List::Repair, Stop::Live, Answer::LimitNoPlan,
+     Answer::NoPlan, false, Outcome::Infeasible, LadderStep::FullReplan, 2, "rung 2"},
     {"pinned infeasible, budget gone", List::Repair, Stop::Expired, Answer::NoPlan,
      Answer::None, false, Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
     {"replan cancelled", List::Repair, Stop::Live, Answer::StoppedNoPlan, Answer::StoppedNoPlan,
-     true, Outcome::Cancelled, LadderStep::Primary, 2, "rung 1"},
+     true, Outcome::Cancelled, LadderStep::FullReplan, 2, "rung 1"},
     // Degrade off: the repair search alone keeps its verdict.
     {"repair alone infeasible", List::RepairSingle, Stop::Live, Answer::NoPlan, Answer::None,
      false, Outcome::Infeasible, LadderStep::Primary, 1, "rung 1"},
     {"repair alone cut", List::RepairSingle, Stop::Expired, Answer::StoppedNoPlan, Answer::None,
      false, Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
+    {"repair alone search limit", List::RepairSingle, Stop::Live, Answer::LimitNoPlan,
+     Answer::None, false, Outcome::DeadlineExceeded, LadderStep::Primary, 1, "rung 1"},
 };
 
 TEST(DegradeTest, LadderRunnerTable) {

@@ -106,11 +106,6 @@ TEST(SortedVec, SetAlgebra) {
   EXPECT_FALSE(sorted_subset(b, a));
   EXPECT_TRUE(sorted_intersects(a, b));
   EXPECT_FALSE(sorted_intersects(a, {PropId(2), PropId(6)}));
-  const auto diff = sorted_difference(a, b);
-  EXPECT_EQ(diff, (std::vector<PropId>{PropId(1), PropId(5)}));
-  const auto uni = sorted_union(a, b);
-  EXPECT_EQ(uni.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(uni.begin(), uni.end()));
 }
 
 TEST(SortedVec, HashDiscriminates) {
@@ -128,7 +123,6 @@ TEST(SortedVec, EmptyEdgeCases) {
   EXPECT_TRUE(sorted_subset(e, e));
   EXPECT_FALSE(sorted_subset(a, e));
   EXPECT_FALSE(sorted_intersects(e, a));
-  EXPECT_TRUE(sorted_difference(e, a).empty());
 }
 
 TEST(Backoff, DelayWithinJitterBounds) {

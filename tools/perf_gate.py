@@ -31,7 +31,10 @@ Gated metrics (lower_is_better marked "<"):
     cp.speedup               >  CP-without-symmetry p50 over CP-with on the
                                 symmetric-star bench (bench_cp "star" record;
                                 the table2 comparison rows carry no speedup
-                                key and are not gated)
+                                key)
+    cp.table2_ms_total       <  sum of cp_ms over the bench_cp "table2"
+                                records; the baseline pins the row set
+                                too, and a stream with other rows fails
 
 Answers: every bench_table2 row's plan_found, cost_lb and plan_actions must
 equal the row pinned under "table2_answers" in the baseline, so a faster
@@ -67,6 +70,7 @@ def collect(paths):
     answers = {}
     best_rps, warm_rps, netload_rps, drift_speedup = None, None, None, None
     symmetry_speedup, symmetry_pruned, cp_speedup = None, None, None
+    cp_table2_ms, cp_table2_rows = [], []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -114,6 +118,9 @@ def collect(paths):
                     sp = float(rec["speedup"])
                     cp_speedup = (sp if cp_speedup is None
                                   else max(cp_speedup, sp))
+                elif name == "cp" and rec.get("family") == "table2":
+                    cp_table2_ms.append(float(rec["cp_ms"]))
+                    cp_table2_rows.append(f"{rec.get('net')}/{rec.get('scenario')}")
 
     current = {}
     if table2_search:
@@ -143,6 +150,11 @@ def collect(paths):
     if cp_speedup is not None:
         current["cp.speedup"] = {
             "value": round(cp_speedup, 3), "lower_is_better": False}
+    if cp_table2_ms:
+        # A sum only compares over the same rows, so the rows are pinned too.
+        current["cp.table2_ms_total"] = {
+            "value": round(sum(cp_table2_ms), 3), "lower_is_better": True,
+            "rows": sorted(cp_table2_rows)}
     return current, answers
 
 
@@ -215,6 +227,11 @@ def main():
         base = baseline.get(name)
         if base is None:
             failures.append(f"{name}: not in baseline (run --update)")
+            continue
+        if cur.get("rows") != base.get("rows"):
+            print(f"perf_gate: FAIL {name}: rows {cur.get('rows')} != pinned "
+                  f"{base.get('rows')}")
+            failures.append(name)
             continue
         cur_v, base_v = cur["value"], float(base["value"])
         if base_v <= 0:
