@@ -5,8 +5,6 @@
 #include "core/slrg.hpp"
 #include "cp/search.hpp"
 #include "support/log.hpp"
-#include "support/metrics.hpp"
-#include "support/timer.hpp"
 #include "support/trace.hpp"
 
 namespace sekitei::core {
@@ -74,14 +72,6 @@ PlanResult plan_cp(const model::CompiledProblem& cp, const PlannerOptions& optio
   }
   result.failure = std::move(r.failure);
 
-  SEKITEI_METRIC(metrics::registry()
-                     .histogram("planner.graph_ms", {{"mode", "cp"}})
-                     .observe(result.stats.time_graph_ms));
-  if (!result.stats.logically_unreachable) {
-    SEKITEI_METRIC(metrics::registry()
-                       .histogram("planner.search_ms", {{"mode", "cp"}})
-                       .observe(result.stats.time_search_ms));
-  }
   SEKITEI_LOG_INFO("core.planner", result.ok() ? "plan found" : "no plan", log::kv("mode", "cp"),
                    log::kv("plan_actions", result.ok() ? result.plan->size() : 0),
                    log::kv("rg_expansions", result.stats.rg_expansions),
@@ -96,14 +86,13 @@ Sekitei::Sekitei(const model::CompiledProblem& cp, PlannerOptions options)
     : cp_(cp), options_(options) {}
 
 PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
-  if (options_.mode == PlannerOptions::Mode::Cp) {
-    trace::Span plan_span("planner.plan");
-    return plan_cp(cp_, options_, validate);
-  }
+  trace::Span plan_span("planner.plan");
+  if (options_.mode == PlannerOptions::Mode::Cp) return plan_cp(cp_, options_, validate);
   PlanResult result;
   result.stats.total_actions = cp_.actions.size();
-  trace::Span plan_span("planner.plan");
-  Stopwatch watch;
+  // Phases 1 and 2: ended explicitly once the goal query is answered, or by
+  // whichever early exit comes first.
+  trace::Span graph_span("planner.graph", "graph", &result.stats.time_graph_ms);
 
   const CostFn cost = options_.mode == PlannerOptions::Mode::Greedy
                           ? CostFn([](ActionId) { return 1.0; })
@@ -122,11 +111,8 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
 
   // Single exit point: whatever path ends the plan() call, the stats carry
   // the same complete snapshot (graph sizes, memo counters, limit flags).
-  [[maybe_unused]] const char* mode_name =
-      options_.mode == PlannerOptions::Mode::Greedy ? "greedy" : "leveled";
-  [[maybe_unused]] bool searched = false;  // phase 3 ran (its time histogram
-                                           // only sees real runs)
   auto finish = [&](std::string failure) -> PlanResult {
+    graph_span.finish();
     result.stats.plrg_props = plrg.prop_nodes();
     result.stats.plrg_actions = plrg.action_nodes();
     result.stats.slrg_sets = slrg.set_count();
@@ -135,16 +121,9 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
     result.stats.pruned_placements += slrg.symmetry_pruned();
     result.stats.hit_search_limit = result.stats.hit_search_limit || slrg.hit_limit();
     result.failure = std::move(failure);
-    SEKITEI_METRIC(metrics::registry()
-                       .histogram("planner.graph_ms", {{"mode", mode_name}})
-                       .observe(result.stats.time_graph_ms));
-    if (searched) {
-      SEKITEI_METRIC(metrics::registry()
-                         .histogram("planner.search_ms", {{"mode", mode_name}})
-                         .observe(result.stats.time_search_ms));
-    }
     SEKITEI_LOG_INFO("core.planner", result.ok() ? "plan found" : "no plan",
-                     log::kv("mode", mode_name),
+                     log::kv("mode", options_.mode == PlannerOptions::Mode::Greedy ? "greedy"
+                                                                                   : "leveled"),
                      log::kv("plan_actions", result.ok() ? result.plan->size() : 0),
                      log::kv("rg_expansions", result.stats.rg_expansions),
                      log::kv("graph_ms", result.stats.time_graph_ms),
@@ -157,14 +136,12 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
   // was cut short), so bail out before the reachability checks.
   if (options_.stop.stop_requested()) {
     result.stats.stopped = true;
-    result.stats.time_graph_ms = watch.elapsed_ms();
     return finish("stopped during graph construction");
   }
 
   for (PropId g : cp_.goal_props) {
     if (!plrg.reachable(g)) {
       result.stats.logically_unreachable = true;
-      result.stats.time_graph_ms = watch.elapsed_ms();
       return finish("goal " + cp_.describe(g) + " is logically unreachable");
     }
   }
@@ -176,7 +153,7 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
     trace::Span span("slrg.seed_goal_query", "graph");
     logical_cost = slrg.c_logical(goal_set);
   }
-  result.stats.time_graph_ms = watch.elapsed_ms();
+  graph_span.finish();
   SEKITEI_LOG_DEBUG("core.planner", "graph construction complete",
                     log::kv("plrg_props", plrg.prop_nodes()),
                     log::kv("plrg_actions", plrg.action_nodes()),
@@ -193,8 +170,6 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
   }
 
   // Phase 3: the main regression graph with optimistic-map replay.
-  watch.restart();
-  Rg rg(cp_, slrg, plrg, cost);
   Rg::Options rg_opts;
   rg_opts.max_expansions = options_.max_rg_expansions;
   rg_opts.forbid_repeated_actions = options_.forbid_repeated_actions;
@@ -206,13 +181,10 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
   rg_opts.progress_every = options_.progress_every;
   rg_opts.stop = options_.stop;
   rg_opts.anytime = options_.anytime;
-  searched = true;
-  std::optional<Plan> plan;
-  {
-    trace::Span span("rg.search", "search");
-    plan = rg.search(goal_set, rg_opts, validate, result.stats);
-  }
-  result.stats.time_search_ms = watch.elapsed_ms();
+  trace::Span search_span("rg.search", "search", &result.stats.time_search_ms);
+  Rg rg(cp_, slrg, plrg, cost);
+  std::optional<Plan> plan = rg.search(goal_set, rg_opts, validate, result.stats);
+  search_span.finish();
 
   if (plan) {
     result.plan = std::move(plan);

@@ -22,8 +22,6 @@ void Plrg::build(std::span<const PropId> goals) {
   for (ActionId a : graph_.actions) action_cost[a.index()] = cost_fn_(a);
   const std::uint64_t sweeps =
       model::hmax_fixpoint(cp_, graph_.props, graph_.actions, action_cost, prop_cost_, stop_);
-  trace::counter("plrg.props", static_cast<double>(graph_.props.size()));
-  trace::counter("plrg.actions", static_cast<double>(graph_.actions.size()));
   SEKITEI_LOG_DEBUG("core.plrg", "built", log::kv("props", graph_.props.size()),
                     log::kv("actions", graph_.actions.size()), log::kv("sweeps", sweeps));
 }

@@ -58,9 +58,9 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   // on the optimal cost, reported next to the incumbent's cost).
   double frontier_lb = kInf;
 
-  // One combined cadence for the progress observer and the trace counters;
-  // checked with a single comparison per expansion so an idle observer adds
-  // nothing measurable to the search.
+  // One cadence for the progress observer and the stop poll; checked with a
+  // single comparison per expansion so an idle observer adds nothing
+  // measurable to the search.
   const std::uint64_t tick_every = std::max<std::uint64_t>(1, options.progress_every);
 
   while (!open.empty()) {
@@ -93,12 +93,6 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // lower bound a stop would report.  Refreshed only under anytime
       // tracking, so stop-free runs report byte-identical stats.
       if (anytime) stats.open_cost_lb = cur.f;
-      if (trace::collector()) {
-        trace::counter("rg.expansions", static_cast<double>(stats.rg_expansions));
-        trace::counter("rg.nodes", static_cast<double>(stats.rg_nodes));
-        trace::counter("rg.open", static_cast<double>(open.size()));
-        trace::counter("rg.pruned_by_replay", static_cast<double>(stats.rg_pruned_by_replay));
-      }
       SEKITEI_LOG_TRACE("core.rg", "progress", log::kv("expansions", stats.rg_expansions),
                         log::kv("nodes", stats.rg_nodes), log::kv("open", stats.rg_open_left),
                         log::kv("f", cur.f));

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "support/sorted_vec.hpp"
-#include "support/trace.hpp"
 
 namespace sekitei::core {
 
@@ -155,8 +154,8 @@ double Slrg::estimate(SetId set) {
       if (h == kInf) continue;
       if (known.best_g <= g) continue;  // false while absent (NaN)
       // Budget exhaustion and cooperative stop share one exit: both return
-      // the admissible frontier bound.  The stop poll rides the same cadence
-      // as the trace counter sampling so the hot loop pays nothing extra.
+      // the admissible frontier bound.  The stop poll is sampled every 1024
+      // generated sets so the hot loop pays nothing extra.
       const bool budget_out = query_generated >= query_budget;
       if (budget_out ||
           ((query_generated & 0x3ffu) == 0u && stop_.stop_requested())) {
@@ -179,9 +178,6 @@ double Slrg::estimate(SetId set) {
       pool_.push_back(Node{nxt, cur.node, g});
       ++generated_;
       ++query_generated;
-      // Sampled, not per-node: counter events are for trend lines, and the
-      // sampling keeps the trace file (and the no-collector cost) small.
-      if ((generated_ & 0x3ffu) == 0) trace::counter("slrg.sets", static_cast<double>(generated_));
       push({g + h, g, idx});
     }
   }

@@ -6,7 +6,7 @@
 #include "model/replay.hpp"
 #include "support/log.hpp"
 #include "support/sorted_vec.hpp"
-#include "support/timer.hpp"
+#include "support/trace.hpp"
 
 namespace sekitei::cp {
 
@@ -225,7 +225,7 @@ void Search::enter(std::uint32_t idx) {
 
 Result Search::run() {
   Result r;
-  Stopwatch watch;
+  trace::Span span("cp.search", "cp", &st_.search_ms);
   tick_every_ = std::max<std::uint64_t>(1, opt_.progress_every);
 
   for (PropId gp : cp_.goal_props) {
@@ -233,7 +233,7 @@ Result Search::run() {
       st_.logically_unreachable = true;
       st_.proven = true;
       st_.lower_bound = kInf;
-      st_.search_ms = watch.elapsed_ms();
+      span.finish();
       r.stats = st_;
       r.failure = "goal " + cp_.describe(gp) + " is logically unreachable";
       return r;
@@ -299,7 +299,7 @@ Result Search::run() {
   }
 
   st_.propagations = replayer_.calls();
-  st_.search_ms = watch.elapsed_ms();
+  span.finish();
 
   if (!abort_) {
     st_.proven = true;
@@ -347,9 +347,10 @@ Result Search::run() {
 }  // namespace
 
 Result solve(const model::CompiledProblem& cp, const Options& options) {
-  Stopwatch watch;
+  double bound_ms = 0.0;
+  trace::Span bound_span("cp.bound", "cp", &bound_ms);
   Bound bound(cp);
-  const double bound_ms = watch.elapsed_ms();
+  bound_span.finish();
   Search search(cp, options, bound);
   Result r = search.run();
   r.stats.bound_ms = bound_ms;

@@ -50,6 +50,7 @@ NodePtr make_var(RoleRef ref) {
 NodePtr make_unary(NodeKind k, NodePtr a) {
   auto n = std::make_unique<Node>();
   n->kind = k;
+  n->height = a->height + 1;
   n->a = std::move(a);
   return n;
 }
@@ -57,6 +58,7 @@ NodePtr make_unary(NodeKind k, NodePtr a) {
 NodePtr make_binary(NodeKind k, NodePtr a, NodePtr b) {
   auto n = std::make_unique<Node>();
   n->kind = k;
+  n->height = std::max(a->height, b->height) + 1;
   n->a = std::move(a);
   n->b = std::move(b);
   return n;
@@ -68,6 +70,7 @@ NodePtr clone(const Node& n) {
   out->value = n.value;
   out->ref = n.ref;
   out->table = n.table;
+  out->height = n.height;
   if (n.a) out->a = clone(*n.a);
   if (n.b) out->b = clone(*n.b);
   return out;

@@ -7,6 +7,7 @@
 // grounding time; the AST itself is network-independent.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +60,7 @@ struct Node {
   RoleRef ref;           // Var
   TableData table;       // Table
   NodePtr a, b;          // operands
+  std::uint32_t height = 1;  // longest path to a leaf, counting this node
 
   [[nodiscard]] std::string str() const;
 };

@@ -1,6 +1,8 @@
 #include "expr/parser.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -8,31 +10,53 @@ namespace sekitei::expr {
 
 namespace {
 
-NodePtr parse_factor(Lexer& lex, const ParamTable& params);
+// Deepest formula the parser accepts, counted two ways: the nesting of
+// parentheses, unary minus and builtins (`nest`, the parser's own
+// recursion), and the height of the tree it builds (a flat `1+1+...+1` is a
+// left-deep chain as tall as it is long).  Every AST walker, and the
+// destructor, recurses on the tree, so past this cap a hostile formula
+// would overflow the stack.
+constexpr std::uint32_t kMaxDepth = 256;
 
-NodePtr parse_term(Lexer& lex, const ParamTable& params) {
-  NodePtr n = parse_factor(lex, params);
-  for (;;) {
-    if (lex.accept(Tok::Star)) {
-      n = make_binary(NodeKind::Mul, std::move(n), parse_factor(lex, params));
-    } else if (lex.accept(Tok::Slash)) {
-      n = make_binary(NodeKind::Div, std::move(n), parse_factor(lex, params));
-    } else {
-      return n;
-    }
+void check_depth(std::uint32_t depth, const Lexer& lex) {
+  if (depth > kMaxDepth) {
+    raise("expr-depth: formula nests deeper than " + std::to_string(kMaxDepth) +
+          " levels at line " + std::to_string(lex.line()));
   }
 }
 
-NodePtr parse_sum(Lexer& lex, const ParamTable& params) {
-  NodePtr n = parse_term(lex, params);
+NodePtr capped(NodePtr n, const Lexer& lex) {
+  check_depth(n->height, lex);
+  return n;
+}
+
+NodePtr parse_factor(Lexer& lex, const ParamTable& params, std::uint32_t nest);
+
+NodePtr parse_term(Lexer& lex, const ParamTable& params, std::uint32_t nest) {
+  NodePtr n = parse_factor(lex, params, nest);
   for (;;) {
-    if (lex.accept(Tok::Plus)) {
-      n = make_binary(NodeKind::Add, std::move(n), parse_term(lex, params));
-    } else if (lex.accept(Tok::Minus)) {
-      n = make_binary(NodeKind::Sub, std::move(n), parse_term(lex, params));
+    if (lex.accept(Tok::Star)) {
+      n = make_binary(NodeKind::Mul, std::move(n), parse_factor(lex, params, nest));
+    } else if (lex.accept(Tok::Slash)) {
+      n = make_binary(NodeKind::Div, std::move(n), parse_factor(lex, params, nest));
     } else {
       return n;
     }
+    n = capped(std::move(n), lex);
+  }
+}
+
+NodePtr parse_sum(Lexer& lex, const ParamTable& params, std::uint32_t nest) {
+  NodePtr n = parse_term(lex, params, nest);
+  for (;;) {
+    if (lex.accept(Tok::Plus)) {
+      n = make_binary(NodeKind::Add, std::move(n), parse_term(lex, params, nest));
+    } else if (lex.accept(Tok::Minus)) {
+      n = make_binary(NodeKind::Sub, std::move(n), parse_term(lex, params, nest));
+    } else {
+      return n;
+    }
+    n = capped(std::move(n), lex);
   }
 }
 
@@ -45,7 +69,8 @@ RoleRef parse_role_tail(Lexer& lex, std::string scope) {
   return ref;
 }
 
-NodePtr parse_factor(Lexer& lex, const ParamTable& params) {
+NodePtr parse_factor(Lexer& lex, const ParamTable& params, std::uint32_t nest) {
+  check_depth(++nest, lex);
   const Token& t = lex.peek();
   switch (t.kind) {
     case Tok::Number: {
@@ -54,11 +79,11 @@ NodePtr parse_factor(Lexer& lex, const ParamTable& params) {
     }
     case Tok::Minus: {
       lex.next();
-      return make_unary(NodeKind::Neg, parse_factor(lex, params));
+      return capped(make_unary(NodeKind::Neg, parse_factor(lex, params, nest)), lex);
     }
     case Tok::LParen: {
       lex.next();
-      NodePtr n = parse_sum(lex, params);
+      NodePtr n = parse_sum(lex, params, nest);
       lex.expect(Tok::RParen);
       return n;
     }
@@ -66,16 +91,17 @@ NodePtr parse_factor(Lexer& lex, const ParamTable& params) {
       const std::string name = lex.next().text;
       if (name == "min" || name == "max") {
         lex.expect(Tok::LParen);
-        NodePtr a = parse_sum(lex, params);
+        NodePtr a = parse_sum(lex, params, nest);
         lex.expect(Tok::Comma);
-        NodePtr b = parse_sum(lex, params);
+        NodePtr b = parse_sum(lex, params, nest);
         lex.expect(Tok::RParen);
-        return make_binary(name == "min" ? NodeKind::Min : NodeKind::Max, std::move(a),
-                           std::move(b));
+        return capped(make_binary(name == "min" ? NodeKind::Min : NodeKind::Max, std::move(a),
+                                  std::move(b)),
+                      lex);
       }
       if (name == "table") {
         lex.expect(Tok::LParen);
-        NodePtr inner = parse_sum(lex, params);
+        NodePtr inner = parse_sum(lex, params, nest);
         lex.expect(Tok::Semi);
         TableData tab;
         do {
@@ -91,7 +117,7 @@ NodePtr parse_factor(Lexer& lex, const ParamTable& params) {
           tab.ys.push_back(y);
         } while (lex.accept(Tok::Comma));
         lex.expect(Tok::RParen);
-        auto n = make_unary(NodeKind::Table, std::move(inner));
+        auto n = capped(make_unary(NodeKind::Table, std::move(inner)), lex);
         n->table = std::move(tab);
         return n;
       }
@@ -116,11 +142,11 @@ NodePtr parse_factor(Lexer& lex, const ParamTable& params) {
 
 }  // namespace
 
-NodePtr parse_expr(Lexer& lex, const ParamTable& params) { return parse_sum(lex, params); }
+NodePtr parse_expr(Lexer& lex, const ParamTable& params) { return parse_sum(lex, params, 0); }
 
 ConditionAst parse_condition(Lexer& lex, const ParamTable& params) {
   ConditionAst c;
-  c.lhs = parse_sum(lex, params);
+  c.lhs = parse_expr(lex, params);
   switch (lex.peek().kind) {
     case Tok::Ge: c.op = CmpOp::Ge; break;
     case Tok::Le: c.op = CmpOp::Le; break;
@@ -133,7 +159,7 @@ ConditionAst parse_condition(Lexer& lex, const ParamTable& params) {
             ": expected a comparison operator");
   }
   lex.next();
-  c.rhs = parse_sum(lex, params);
+  c.rhs = parse_expr(lex, params);
   return c;
 }
 
@@ -150,7 +176,7 @@ EffectAst parse_effect(Lexer& lex, const ParamTable& params) {
             ": expected ':=', '+=' or '-='");
   }
   lex.next();
-  e.value = parse_sum(lex, params);
+  e.value = parse_expr(lex, params);
   return e;
 }
 

@@ -13,6 +13,11 @@
 //
 // Named parameters (e.g. a tunable cost weight `lambda`) are resolved at
 // parse time against a caller-supplied table and folded into constants.
+//
+// A formula that nests deeper than 256 levels — parentheses, unary minus and
+// builtins, or a chain of binary operators (`1+1+...+1`) — raises an
+// `expr-depth:` Error instead of building a tree the recursive walkers could
+// not traverse.
 #pragma once
 
 #include <map>

@@ -1,6 +1,7 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <exception>
@@ -89,6 +90,7 @@ std::string next_engine_label() {
 
 /// One planner attempt: what every ladder rung's solve runs, against the
 /// compile it plans on, under the request's (possibly re-armed) stop token.
+/// Observes the planner phase histograms.
 core::PlanResult attempt(const PlanRequest& request, const model::CompiledProblem& target,
                          core::PlannerOptions::Mode mode) {
   core::PlannerOptions opt;
@@ -98,11 +100,25 @@ core::PlanResult attempt(const PlanRequest& request, const model::CompiledProble
   opt.progress = request.progress;
   opt.anytime = request.degrade.enabled;
   core::Sekitei planner(target, opt);
+  core::PlanResult result;
   if (request.validate) {
     sim::Executor exec(target);
-    return planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+    result = planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+  } else {
+    result = planner.plan();
   }
-  return planner.plan();
+  [[maybe_unused]] constexpr std::array<const char*, 3> kModeNames{"leveled", "greedy", "cp"};
+  [[maybe_unused]] const char* mode_name = kModeNames[static_cast<std::size_t>(mode)];
+  SEKITEI_METRIC(metrics::registry()
+                     .histogram("planner.graph_ms", {{"mode", mode_name}})
+                     .observe(result.stats.time_graph_ms));
+  // A logically unreachable goal ends the run before any search.
+  if (!result.stats.logically_unreachable) {
+    SEKITEI_METRIC(metrics::registry()
+                       .histogram("planner.search_ms", {{"mode", mode_name}})
+                       .observe(result.stats.time_search_ms));
+  }
+  return result;
 }
 
 /// Renders the shipped plan against `target`, the compile its action ids
@@ -129,10 +145,10 @@ std::string preflight_step(bool enabled, const model::CompiledProblem& cp, PlanR
   if (SEKITEI_FAULT_POINT("preflight")) {
     raise("injected fault at preflight");
   }
-  const Stopwatch preflight_watch;
+  trace::Span span("service.preflight", "service", &r.preflight_ms);
   const analysis::PreflightVerdict verdict = analysis::preflight(cp);
+  span.finish();
   r.preflight_ran = true;
-  r.preflight_ms = preflight_watch.elapsed_ms();
   r.preflight_sweeps = verdict.sweeps;
   if (!verdict.infeasible) return {};
   r.preflight_rejected = true;
@@ -277,6 +293,12 @@ PlanResponse PlanningEngine::process(PlanRequest& request, double wait_ms) {
 
   PlanResponse r = process_inner(request, wait_ms);
   request.progress = inner_progress;  // drop the dangling recorder capture
+  SEKITEI_LOG_INFO("service.engine", "request served", log::kv("id", r.id.c_str()),
+                   log::kv("outcome", outcome_name(r.outcome)),
+                   log::kv("ladder", ladder_step_name(r.ladder)),
+                   log::kv("repair", r.repair_requested), log::kv("cache_hit", r.cache_hit),
+                   log::kv("wait_ms", r.wait_ms), log::kv("solve_ms", r.solve_ms),
+                   log::kv("repaired", r.repaired), log::kv("migrations", r.migrations));
 
   if (r.ok()) {
     SEKITEI_METRIC(ladder_counters_[static_cast<std::size_t>(r.ladder)]->add(1));
@@ -328,17 +350,18 @@ void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary
     }
   }
 
-  const Stopwatch watch;
   r.outcome = Outcome::DeadlineExceeded;
   for (std::size_t i = 0; i < rungs.size(); ++i) {
     if (i > 0 && t_end != 0) {
       if (t_end <= StopSource::now_epoch_ns()) return;  // budget already gone
       stop.arm_deadline_at_ns(t_end);
     }
-    const Stopwatch rung_watch;
+    double rung_ms = 0.0;
+    trace::Span span(ladder_step_name(rungs[i].step), "ladder", &rung_ms);
     core::PlanResult result = rungs[i].solve();
-    if (i > 0) r.fallback_ms += rung_watch.elapsed_ms();
-    r.solve_ms = watch.elapsed_ms();
+    span.finish();
+    r.solve_ms += rung_ms;
+    if (i > 0) r.fallback_ms += rung_ms;
     r.ladder = rungs[i].step;
     // A plan-less answer reports the first rung's stats and failure unless
     // a later rung ends the ladder with its own.
@@ -410,15 +433,14 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
   r.fingerprint = model::fingerprint(request.problem->problem, request.problem->scenario);
   auto [entry, hit] = cache_.get_or_compile(r.fingerprint, [&] {
     auto made = std::make_shared<CompiledEntry>();
-    trace::Span compile_span("service.compile", "service");
-    Stopwatch watch;
+    trace::Span compile_span("service.compile", "service", &made->compile_ms);
     made->source = request.problem;
     made->cp = model::compile(request.problem->problem, request.problem->scenario);
     // Attach the node symmetry partition before the entry is published to
     // the cache (it is immutable — and shared across workers — afterwards);
     // the searches prune interchangeable twins against it.
     analysis::attach_symmetry(made->cp);
-    made->compile_ms = watch.elapsed_ms();
+    compile_span.finish();
     return made;
   });
   r.cache_hit = hit;
@@ -428,11 +450,6 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
 
   if (request.repair) {
     process_repair(request, r, cp);
-    SEKITEI_LOG_INFO("service.engine", "repair served", log::kv("id", r.id.c_str()),
-                     log::kv("outcome", outcome_name(r.outcome)),
-                     log::kv("ladder", ladder_step_name(r.ladder)),
-                     log::kv("repaired", r.repaired), log::kv("migrations", r.migrations),
-                     log::kv("solve_ms", r.solve_ms));
     return r;
   }
 
@@ -456,20 +473,12 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
     // A greedy "infeasible" is NOT proof for the leveled semantics (the
     // worst-case reservation is strictly more conservative).
     rungs.push_back({LadderStep::GreedyFallback,
-                     [&] {
-                       trace::Span fallback_span("service.greedy_fallback", "service");
-                       return attempt(request, cp, core::PlannerOptions::Mode::Greedy);
-                     },
+                     [&] { return attempt(request, cp, core::PlannerOptions::Mode::Greedy); },
                      /*proves_infeasible=*/false,
                      "deadline fired before the optimal search finished; greedy fallback plan"});
   }
   run_ladder(rungs, request.stop, request.degrade.primary_fraction, r);
   if (r.plan) adopt_plan(request, cp, r);
-  SEKITEI_LOG_INFO("service.engine", "request served", log::kv("id", r.id.c_str()),
-                   log::kv("outcome", outcome_name(r.outcome)),
-                   log::kv("ladder", ladder_step_name(r.ladder)),
-                   log::kv("cache_hit", r.cache_hit), log::kv("wait_ms", r.wait_ms),
-                   log::kv("solve_ms", r.solve_ms));
   return r;
 }
 
@@ -565,10 +574,10 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
     if (SEKITEI_FAULT_POINT("repair.preflight")) {
       raise("injected fault at repair.preflight");
     }
-    const Stopwatch preflight_watch;
+    trace::Span span("service.repair_preflight", "service", &r.repair_preflight_ms);
     const analysis::PreflightVerdict verdict = analysis::preflight(bare_compile());
+    span.finish();
     r.repair_preflight_ran = true;
-    r.repair_preflight_ms = preflight_watch.elapsed_ms();
     if (verdict.infeasible) {
       r.repair_preflight_rejected = true;
       SEKITEI_METRIC(repair_preflight_rejected_->add(1));
@@ -600,7 +609,7 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   // actions discounted to RECONNECT/MIGRATE rates.  Compiled locally — the
   // damaged network is request-specific, so the compiled-problem cache
   // cannot serve it.
-  Stopwatch compile_watch;
+  trace::Span compile_span("service.repair_compile", "service", &r.compile_ms);
   const net::Network damaged =
       repair::damaged_copy(*cp.net, spec.damage, have_prior ? &survivors.residual : nullptr);
   const model::CppProblem rp = repair::repair_problem(*cp.problem, damaged, survivors);
@@ -610,8 +619,8 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   // pre-places (pinned singletons in the partition), so twin pruning on the
   // repair compile stays cost-exact.
   analysis::attach_symmetry(rcp);
+  compile_span.finish();
   r.symmetry_classes = rcp.symmetric_class_count;
-  r.compile_ms += compile_watch.elapsed_ms();
 
   // Set when preflight proves the repair CPP infeasible.
   const std::string preflight_failure =
@@ -634,16 +643,12 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
                      // incumbent in hand.
                      skipped.stats.stopped = SEKITEI_FAULT_POINT("repair.plan");
                      if (skipped.stats.stopped || !preflight_failure.empty()) return skipped;
-                     trace::Span repair_span("service.repair_search", "service");
                      return attempt(request, rcp, request.mode);
                    },
                    /*proves_infeasible=*/!request.degrade.enabled, "mid-repair"});
   if (request.degrade.enabled) {
     rungs.push_back({LadderStep::FullReplan,
-                     [&] {
-                       trace::Span replan_span("service.full_replan", "service");
-                       return attempt(request, bare_compile(), request.mode);
-                     },
+                     [&] { return attempt(request, bare_compile(), request.mode); },
                      /*proves_infeasible=*/true,
                      "repair could not answer within its budget; full replan on the damaged "
                      "network"});

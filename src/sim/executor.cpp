@@ -179,15 +179,6 @@ ExecutionReport Executor::attempt(const core::Plan& plan, std::span<const double
 
 ExecutionReport Executor::execute(const core::Plan& plan) {
   trace::Span span("sim.execute", "sim");
-  // Counts the grid/bisection probes this call made, whichever return path
-  // ends it.
-  struct AttemptGuard {
-    const std::uint64_t& attempts;
-    std::uint64_t before;
-    ~AttemptGuard() {
-      trace::counter("sim.attempts", static_cast<double>(attempts - before));
-    }
-  } guard{attempts_, attempts_};
   // Collect choice ranges from the initial map.
   std::vector<Interval> ranges;
   for (const model::InitMapEntry& e : cp_.init_map) {

@@ -1,7 +1,6 @@
 #include "support/trace.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
@@ -23,8 +22,6 @@ std::uint32_t current_thread_id() {
 }
 
 struct Collector::Impl {
-  using Clock = std::chrono::steady_clock;
-
   mutable std::mutex mu;
   Clock::time_point epoch = Clock::now();
   std::vector<Event> events;
@@ -39,43 +36,14 @@ Collector::~Collector() {
   delete impl_;
 }
 
-std::uint64_t Collector::now_us() const {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                        Impl::Clock::now() - impl_->epoch)
-                                        .count());
-}
-
-void Collector::complete(std::string_view name, const char* cat, std::uint64_t ts_us,
-                         std::uint64_t dur_us) {
+void Collector::complete(std::string_view name, const char* cat, Clock::time_point start,
+                         Clock::time_point end) {
+  using us = std::chrono::duration<double, std::micro>;
   Event e;
-  e.ph = 'X';
   e.name.assign(name);
   e.cat = cat;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.tid = current_thread_id();
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->events.push_back(std::move(e));
-}
-
-void Collector::counter(std::string_view name, double value) {
-  Event e;
-  e.ph = 'C';
-  e.name.assign(name);
-  e.cat = "counter";
-  e.ts_us = now_us();
-  e.value = value;
-  e.tid = current_thread_id();
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->events.push_back(std::move(e));
-}
-
-void Collector::instant(std::string_view name, const char* cat) {
-  Event e;
-  e.ph = 'i';
-  e.name.assign(name);
-  e.cat = cat;
-  e.ts_us = now_us();
+  e.ts_us = us(start - impl_->epoch).count();
+  e.dur_us = us(end - start).count();
   e.tid = current_thread_id();
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->events.push_back(std::move(e));
@@ -89,24 +57,6 @@ std::size_t Collector::event_count() const {
 std::vector<Event> Collector::events() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->events;
-}
-
-std::vector<double> Collector::counter_values(std::string_view name) const {
-  std::vector<double> out;
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const Event& e : impl_->events) {
-    if (e.ph == 'C' && e.name == name) out.push_back(e.value);
-  }
-  return out;
-}
-
-double Collector::counter_last(std::string_view name) const {
-  double last = 0.0;
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const Event& e : impl_->events) {
-    if (e.ph == 'C' && e.name == name) last = e.value;
-  }
-  return last;
 }
 
 std::string Collector::to_json() const {
@@ -125,23 +75,12 @@ std::string Collector::to_json() const {
     json::append_escaped(out, e.name);
     out += ",\"cat\":";
     json::append_escaped(out, e.cat);
-    out += ",\"ph\":\"";
-    out.push_back(e.ph);
-    out += "\",\"ts\":";
+    out += ",\"ph\":\"X\",\"ts\":";
     json::append_number(out, e.ts_us);
-    if (e.ph == 'X') {
-      out += ",\"dur\":";
-      json::append_number(out, e.dur_us);
-    }
+    out += ",\"dur\":";
+    json::append_number(out, e.dur_us);
     out += ",\"pid\":1,\"tid\":";
     json::append_number(out, static_cast<std::uint64_t>(e.tid == 0 ? 1 : e.tid));
-    if (e.ph == 'C') {
-      out += ",\"args\":{\"value\":";
-      json::append_number(out, e.value);
-      out += "}";
-    } else if (e.ph == 'i') {
-      out += ",\"s\":\"t\"";
-    }
     out.push_back('}');
   }
   out += "],\"displayTimeUnit\":\"ms\"}";

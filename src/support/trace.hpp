@@ -1,11 +1,17 @@
-// Scoped tracing: RAII spans and named counters, exported in the Chrome
-// trace-event JSON format (load the file in chrome://tracing or
-// https://ui.perfetto.dev).
+// Scoped timing and tracing: one RAII span that times a scope, adds the
+// elapsed milliseconds to the field it fills, and — when a collector is
+// installed — records the same interval as a Chrome trace-event ('X') span
+// (load the file in chrome://tracing or https://ui.perfetto.dev).
 //
-// The collector is *opt-in*: nothing is recorded — and a Span costs exactly
-// one relaxed atomic load — until someone calls trace::install().  Building
-// with -DSEKITEI_LOG_DISABLED (or -DSEKITEI_TRACE_DISABLED alone) removes
-// the instrumentation from the translation unit entirely.
+//   double graph_ms = 0.0;
+//   { trace::Span span("planner.graph", "graph", &graph_ms); ...work... }
+//
+// The collector is *opt-in*.  A span without an `add_ms` target costs one
+// relaxed atomic load until someone calls trace::install(); a span with one
+// always reads the clock twice, and a collector gets an event built from
+// those same two reads, so a reported field and its span never disagree.
+// Building with -DSEKITEI_LOG_DISABLED compiles the events out; a span with
+// an `add_ms` target still times.
 //
 //   trace::Collector collector;
 //   trace::install(&collector);
@@ -17,28 +23,25 @@
 // they are reporting-only and never feed back into planning (determinism).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#if defined(SEKITEI_LOG_DISABLED) && !defined(SEKITEI_TRACE_DISABLED)
-#define SEKITEI_TRACE_DISABLED
-#endif
-
 namespace sekitei::trace {
 
-/// One recorded trace event.  `ph` follows the Chrome trace-event phase
-/// codes: 'X' = complete span (ts + dur), 'C' = counter sample, 'i' =
-/// instant event.
+using Clock = std::chrono::steady_clock;
+
+/// One recorded complete span (Chrome trace-event phase 'X').  Times are in
+/// microseconds, fractional: `dur_us` is exactly the interval the span added
+/// to its field.
 struct Event {
-  char ph = 'X';
   std::string name;
   const char* cat = "planner";
-  std::uint64_t ts_us = 0;
-  std::uint64_t dur_us = 0;  // 'X' only
-  double value = 0.0;        // 'C' only
-  std::uint32_t tid = 0;     // recording thread (dense id, see current_thread_id)
+  double ts_us = 0.0;
+  double dur_us = 0.0;
+  std::uint32_t tid = 0;  // recording thread (dense id, see current_thread_id)
 };
 
 /// Dense id of the calling thread (1, 2, 3, ... in first-use order).  Stable
@@ -55,21 +58,13 @@ class Collector {
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  /// Microseconds since this collector was created (steady clock).
-  [[nodiscard]] std::uint64_t now_us() const;
-
-  void complete(std::string_view name, const char* cat, std::uint64_t ts_us,
-                std::uint64_t dur_us);
-  void counter(std::string_view name, double value);
-  void instant(std::string_view name, const char* cat);
+  /// Records the span [start, end) on the calling thread.
+  void complete(std::string_view name, const char* cat, Clock::time_point start,
+                Clock::time_point end);
 
   [[nodiscard]] std::size_t event_count() const;
   /// Snapshot of the recorded events (copy; the collector keeps recording).
   [[nodiscard]] std::vector<Event> events() const;
-  /// All samples recorded for counter `name`, in recording order.
-  [[nodiscard]] std::vector<double> counter_values(std::string_view name) const;
-  /// The most recent sample of counter `name` (0.0 when never sampled).
-  [[nodiscard]] double counter_last(std::string_view name) const;
 
   /// The full trace as `{"traceEvents":[...]}` — the Chrome trace-event
   /// "JSON object format", loadable by chrome://tracing and Perfetto.
@@ -87,18 +82,27 @@ class Collector {
 void install(Collector* c);
 void uninstall();
 /// The installed collector, or nullptr.  One relaxed atomic load — this is
-/// the only cost instrumentation pays when tracing is idle.
+/// the only cost an untimed span pays when tracing is idle.
 [[nodiscard]] Collector* collector();
 
-#ifndef SEKITEI_TRACE_DISABLED
+// The two builds of Span live in inline namespaces of their own, so a TU
+// built with SEKITEI_LOG_DISABLED and one built without link into one
+// program without two different definitions of one inline class.
+#ifndef SEKITEI_LOG_DISABLED
+inline namespace recorded {
+inline constexpr bool kRecordSpans = true;
+#else
+inline namespace unrecorded {
+inline constexpr bool kRecordSpans = false;
+#endif
 
-/// RAII span: records a complete ('X') event covering its lifetime.  Costs
-/// one atomic load when no collector is installed.
+/// RAII span: times its lifetime, adds the milliseconds to `*add_ms` (when
+/// given) and records a complete event (when a collector is installed).
 class Span {
  public:
-  explicit Span(const char* name, const char* cat = "planner")
-      : c_(collector()), name_(name), cat_(cat) {
-    if (c_) start_ = c_->now_us();
+  explicit Span(const char* name, const char* cat = "planner", double* add_ms = nullptr)
+      : c_(kRecordSpans ? collector() : nullptr), name_(name), cat_(cat), add_ms_(add_ms) {
+    if (c_ || add_ms_) start_ = Clock::now();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -106,49 +110,22 @@ class Span {
 
   /// Ends the span early (idempotent).
   void finish() {
-    if (c_) {
-      c_->complete(name_, cat_, start_, c_->now_us() - start_);
-      c_ = nullptr;
-    }
+    if (!c_ && !add_ms_) return;
+    const Clock::time_point end = Clock::now();
+    if (add_ms_) *add_ms_ += std::chrono::duration<double, std::milli>(end - start_).count();
+    if (c_) c_->complete(name_, cat_, start_, end);
+    c_ = nullptr;
+    add_ms_ = nullptr;
   }
 
  private:
   Collector* c_;
   const char* name_;
   const char* cat_;
-  std::uint64_t start_ = 0;
+  double* add_ms_;
+  Clock::time_point start_{};
 };
 
-/// Records one sample of the named counter (no-op without a collector).
-inline void counter(const char* name, double value) {
-  if (Collector* c = collector()) c->counter(name, value);
-}
-
-/// Records an instant marker (no-op without a collector).
-inline void instant(const char* name, const char* cat = "planner") {
-  if (Collector* c = collector()) c->instant(name, cat);
-}
-
-#else  // SEKITEI_TRACE_DISABLED: the instrumentation vanishes entirely.
-
-// An inline namespace of their own gives the no-op variants distinct
-// mangled names, so a TU built with them and one built with the real ones
-// link into one program without two definitions of one inline class.
-inline namespace disabled {
-
-class Span {
- public:
-  explicit Span(const char*, const char* = "planner") {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void finish() {}
-};
-
-inline void counter(const char*, double) {}
-inline void instant(const char*, const char* = "planner") {}
-
-}  // namespace disabled
-
-#endif  // SEKITEI_TRACE_DISABLED
+}  // inline namespace recorded / unrecorded
 
 }  // namespace sekitei::trace

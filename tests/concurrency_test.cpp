@@ -153,8 +153,8 @@ TEST(TraceThreadIdTest, StablePerThreadAndDistinctAcrossThreads) {
 TEST(TraceThreadIdTest, EventsRecordTheRecordingThread) {
   trace::Collector collector;
   trace::install(&collector);
-  trace::instant("from-main");
-  std::thread([] { trace::instant("from-worker"); }).join();
+  { trace::Span span("from-main"); }
+  std::thread([] { trace::Span span("from-worker"); }).join();
   trace::uninstall();
 
   const std::vector<trace::Event> events = collector.events();
@@ -186,7 +186,7 @@ TEST(TraceThreadIdTest, PoolWorkersGetDistinctTids) {
     // different threads.
     for (int i = 0; i < 2; ++i) {
       pool.submit([&parked, open] {
-        trace::instant("pool-span");
+        { trace::Span span("pool-span"); }
         parked.fetch_add(1);
         open.wait();
       });

@@ -91,6 +91,21 @@ TEST(CorpusTest, TheValidPairLoads) {
   EXPECT_NO_THROW(load_problem(kValidDomain, kValidProblem));
 }
 
+TEST(CorpusTest, EveryExampleInstanceLoads) {
+  // The guards that make hostile files fail closed (e.g. the expression
+  // depth cap) must not refuse a real instance.
+  const std::filesystem::path data(SEKITEI_TEST_DATA_DIR);
+  const std::string domain = slurp(data / "media.sk");
+  std::size_t problems = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(data)) {
+    if (entry.path().extension() != ".sk" || entry.path().filename() == "media.sk") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    EXPECT_NO_THROW(load_problem(domain, slurp(entry.path())));
+    ++problems;
+  }
+  EXPECT_GE(problems, 3u);
+}
+
 TEST(CorpusTest, TheCorpusIsNotEmpty) {
   EXPECT_GE(corpus_files().size(), 15u);
 }

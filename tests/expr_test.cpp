@@ -326,6 +326,50 @@ TEST(Lexer, CommentsAndLines) {
   EXPECT_DOUBLE_EQ(p.eval({}), 6.0);
 }
 
+// Hostile formulas fail closed: a tree deeper than the parser's cap raises
+// instead of overflowing the stack in the parser, a walker or the destructor.
+std::string nested_parens(std::size_t depth) {
+  return std::string(depth, '(') + "1" + std::string(depth, ')');
+}
+
+std::string flat_sum(std::size_t terms) {
+  std::string s = "1";
+  for (std::size_t i = 1; i < terms; ++i) s += "+1";
+  return s;
+}
+
+void expect_depth_error(const std::string& src) {
+  try {
+    (void)parse_expr_string(src);
+    FAIL() << "expected a depth error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("expr-depth:", 0), 0u) << e.what();
+  }
+}
+
+TEST(ParserDepth, NestingBombThrows) {
+  expect_depth_error(nested_parens(100000));
+  expect_depth_error(std::string(100000, '-') + "1");
+  std::string mins;
+  for (int i = 0; i < 100000; ++i) mins += "min(";
+  mins += "1";
+  for (int i = 0; i < 100000; ++i) mins += ",1)";
+  expect_depth_error(mins);
+}
+
+TEST(ParserDepth, FlatChainBombThrows) {
+  expect_depth_error(flat_sum(200000));
+  std::string product = "2";
+  for (int i = 0; i < 200000; ++i) product += "*2";
+  expect_depth_error(product);
+}
+
+TEST(ParserDepth, FormulasUnderTheCapStillParse) {
+  TestResolver res;
+  EXPECT_DOUBLE_EQ(compile_str(nested_parens(200), res).eval({}), 1.0);
+  EXPECT_DOUBLE_EQ(compile_str(flat_sum(200), res).eval({}), 200.0);
+}
+
 TEST(Lexer, ReportsLineNumbers) {
   try {
     (void)parse_expr_string("1 +\n+ @");

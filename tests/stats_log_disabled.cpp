@@ -2,11 +2,12 @@
 //
 // This file is compiled with -DSEKITEI_LOG_DISABLED (see tests/CMakeLists.txt
 // — the name deliberately avoids the *_test.cpp glob), so every SEKITEI_LOG_*
-// macro here expands to nothing and trace::Span/counter are no-ops.  The
+// macro here expands to nothing and trace::Span records no event.  The
 // planner library itself is still the instrumented build; the guard asserts
 // that (a) the macros really compile out — their arguments are never
-// evaluated — and (b) the plan produced from this quiet TU is byte-identical
-// to one produced while logging and tracing are fully live.
+// evaluated, (b) a span with a field to fill still times, and (c) the plan
+// produced from this quiet TU is byte-identical to one produced while
+// logging and tracing are fully live.
 #include "core/planner.hpp"
 #include "domains/media.hpp"
 #include "model/compile.hpp"
@@ -25,8 +26,7 @@ std::string plan_small_c_quiet(double* cost_out, int* log_args_evaluated) {
   // With the macros compiled out this argument expression must not run.
   SEKITEI_LOG_ERROR("tests.quiet", "must vanish", log::kv("side_effect", ++evaluated));
   if (log_args_evaluated != nullptr) *log_args_evaluated = evaluated;
-  trace::Span span("tests.quiet");       // the no-op variants: must still compile
-  trace::counter("tests.quiet", 1.0);
+  trace::Span span("tests.quiet");  // records nothing here: must still compile
 
   auto inst = domains::media::small();
   auto cp = model::compile(inst->problem, domains::media::scenario('C'));
@@ -36,6 +36,16 @@ std::string plan_small_c_quiet(double* cost_out, int* log_args_evaluated) {
   if (!r.ok()) return {};
   if (cost_out != nullptr) *cost_out = r.plan->cost_lb;
   return r.plan->str(cp);
+}
+
+double quiet_timed_span_ms() {
+  double ms = 0.0;
+  {
+    trace::Span span("tests.quiet_timed", "t", &ms);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
+  }
+  return ms;
 }
 
 }  // namespace sekitei::testing

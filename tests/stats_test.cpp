@@ -1,26 +1,34 @@
 // Observability suite: the stats_to_json serializer (golden string + JSON
-// round-trip), trace spans/counters and the Chrome trace-event export, the
-// log gate and NDJSON sink, the progress observer, the single-exit stats
-// population on early-return planner paths, and the SEKITEI_LOG_DISABLED
-// determinism guard (a quiet TU must produce a byte-identical plan).
+// round-trip), trace spans and the Chrome trace-event export, the timing
+// fields the engine reports against the spans that fill them, the log gate
+// and NDJSON sink, the progress observer, the single-exit stats population
+// on early-return planner paths, and the SEKITEI_LOG_DISABLED determinism
+// guard (a quiet TU must produce a byte-identical plan).
 //
 // When examples/CMakeLists.txt defines SEKITEI_SOLVE_FILE_BIN this suite also
 // runs example_solve_file --trace end-to-end and parses the emitted file —
 // the acceptance check that the trace really is Chrome-trace-format JSON.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "core/planner.hpp"
 #include "core/stats.hpp"
 #include "domains/media.hpp"
 #include "support/json_reader.hpp"
 #include "model/compile.hpp"
+#include "service/engine.hpp"
 #include "sim/executor.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
@@ -28,6 +36,8 @@
 namespace sekitei::testing {
 // Defined in stats_log_disabled.cpp, compiled with -DSEKITEI_LOG_DISABLED.
 std::string plan_small_c_quiet(double* cost_out, int* log_args_evaluated);
+// Runs one span with a field to fill, and nothing else, in the quiet TU.
+double quiet_timed_span_ms();
 }  // namespace sekitei::testing
 
 namespace sekitei {
@@ -110,7 +120,6 @@ TEST(Trace, SpanNestingAndOrdering) {
   EXPECT_EQ(events[0].name, "inner");
   EXPECT_EQ(events[1].name, "sibling");
   EXPECT_EQ(events[2].name, "outer");
-  for (const auto& e : events) EXPECT_EQ(e.ph, 'X');
   // The outer span must fully contain both children.
   EXPECT_LE(events[2].ts_us, events[0].ts_us);
   EXPECT_GE(events[2].ts_us + events[2].dur_us, events[1].ts_us + events[1].dur_us);
@@ -130,30 +139,36 @@ TEST(Trace, SpanFinishIsIdempotent) {
   EXPECT_EQ(c.event_count(), 1u);
 }
 
-TEST(Trace, CounterAggregation) {
-  trace::Collector c;
-  trace::install(&c);
-  trace::counter("x", 1.0);
-  trace::counter("y", 5.0);
-  trace::counter("x", 2.0);
-  trace::counter("x", 3.0);
-  trace::uninstall();
-
-  EXPECT_EQ(c.counter_values("x"), (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(c.counter_values("y"), (std::vector<double>{5.0}));
-  EXPECT_TRUE(c.counter_values("never").empty());
-  EXPECT_DOUBLE_EQ(c.counter_last("x"), 3.0);
-  EXPECT_DOUBLE_EQ(c.counter_last("y"), 5.0);
-  EXPECT_DOUBLE_EQ(c.counter_last("never"), 0.0);
-}
-
 TEST(Trace, NoCollectorIsInert) {
   ASSERT_EQ(trace::collector(), nullptr);
   trace::Span s("unrecorded");
-  trace::counter("unrecorded", 1.0);
-  trace::instant("unrecorded");
   s.finish();
   EXPECT_EQ(trace::collector(), nullptr);
+}
+
+TEST(Trace, TimedSpanFillsItsFieldWithoutCollector) {
+  ASSERT_EQ(trace::collector(), nullptr);
+  double ms = 1.0;  // a span adds to its field, it does not overwrite it
+  {
+    trace::Span s("unrecorded", "t", &ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    s.finish();
+    s.finish();  // idempotent: adds once
+  }
+  EXPECT_GE(ms, 3.0);
+  EXPECT_LT(ms, 1000.0);
+}
+
+TEST(Trace, TimedSpanEventMatchesItsField) {
+  trace::Collector c;
+  trace::install(&c);
+  double ms = 0.0;
+  { trace::Span s("timed", "t", &ms); }
+  trace::uninstall();
+  const auto events = c.events();
+  ASSERT_EQ(events.size(), 1u);
+  // One pair of clock reads feeds both: the field and the event agree.
+  EXPECT_NEAR(events[0].dur_us / 1000.0, ms, 1e-9);
 }
 
 TEST(Trace, ToJsonIsChromeTraceFormat) {
@@ -161,8 +176,7 @@ TEST(Trace, ToJsonIsChromeTraceFormat) {
   trace::install(&c);
   {
     trace::Span s("phase \"one\"", "t");  // quotes must be escaped
-    trace::counter("work", 42.0);
-    trace::instant("marker", "t");
+    trace::Span inner("inner", "u");
   }
   trace::uninstall();
 
@@ -172,33 +186,135 @@ TEST(Trace, ToJsonIsChromeTraceFormat) {
   const sekitei::json::Value* events = v.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->arr->size(), 3u);
-  bool saw_span = false, saw_counter = false, saw_instant = false;
+  ASSERT_EQ(events->arr->size(), 2u);
+  std::vector<std::string> names;
   for (const auto& e : *events->arr) {
     ASSERT_TRUE(e.is_object());
     ASSERT_NE(e.find("name"), nullptr);
-    ASSERT_NE(e.find("ph"), nullptr);
+    ASSERT_NE(e.find("cat"), nullptr);
     ASSERT_NE(e.find("ts"), nullptr);
+    ASSERT_NE(e.find("dur"), nullptr);
     ASSERT_NE(e.find("pid"), nullptr);
     ASSERT_NE(e.find("tid"), nullptr);
-    const std::string& ph = e.find("ph")->str;
-    if (ph == "X") {
-      saw_span = true;
-      EXPECT_EQ(e.find("name")->str, "phase \"one\"");
-      EXPECT_NE(e.find("dur"), nullptr);
-    } else if (ph == "C") {
-      saw_counter = true;
-      const sekitei::json::Value* cargs = e.find("args");
-      ASSERT_NE(cargs, nullptr);
-      ASSERT_NE(cargs->find("value"), nullptr);
-      EXPECT_DOUBLE_EQ(cargs->find("value")->number, 42.0);
-    } else if (ph == "i") {
-      saw_instant = true;
-    }
+    ASSERT_NE(e.find("ph"), nullptr);
+    EXPECT_EQ(e.find("ph")->str, "X");
+    names.push_back(e.find("name")->str);
   }
-  EXPECT_TRUE(saw_span);
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_instant);
+  // Recorded when they end: the inner span first.
+  EXPECT_EQ(names, (std::vector<std::string>{"inner", "phase \"one\""}));
+}
+
+// ---- reported timing fields against their spans -------------------------
+
+/// Summed duration (ms) and count of the recorded spans named `name`.
+struct SpanSum {
+  double ms = 0.0;
+  int count = 0;
+};
+
+SpanSum spans(const std::vector<trace::Event>& events, std::string_view name) {
+  SpanSum s;
+  for (const trace::Event& e : events) {
+    if (e.name != name) continue;
+    s.ms += e.dur_us / 1000.0;
+    ++s.count;
+  }
+  return s;
+}
+
+std::shared_ptr<const model::LoadedProblem> tiny_c() {
+  auto inst = domains::media::tiny();
+  return service::make_loaded(std::move(inst->domain), std::move(inst->net),
+                              std::move(inst->problem), domains::media::scenario('C'));
+}
+
+service::PlanRequest plain_request(core::PlannerOptions::Mode mode) {
+  service::PlanRequest req;
+  req.id = "plain";
+  req.problem = tiny_c();
+  req.mode = mode;
+  req.preflight = true;
+  return req;
+}
+
+service::PlanRequest repair_request() {
+  service::PlanRequest req = plain_request(core::PlannerOptions::Mode::Leveled);
+  req.id = "repair";
+  req.repair.emplace();  // no prior plan, no damage: a replan on the same network
+  return req;
+}
+
+/// Serves `req` on a fresh engine (a compiled-cache miss) with a collector
+/// installed, or none; returns the response and the recorded events.
+std::pair<service::PlanResponse, std::vector<trace::Event>> serve(service::PlanRequest req,
+                                                                  bool collect) {
+  trace::Collector c;
+  if (collect) trace::install(&c);
+  service::PlanningEngine engine({.workers = 1});
+  service::PlanResponse r = engine.plan(std::move(req));
+  trace::uninstall();
+  return {std::move(r), c.events()};
+}
+
+constexpr double kOneMicrosecondMs = 1e-3;
+
+TEST(TimingSpans, LeveledRequestFieldsEqualTheirSpans) {
+  const auto [r, ev] = serve(plain_request(core::PlannerOptions::Mode::Leveled), true);
+  ASSERT_EQ(r.outcome, service::Outcome::Solved) << r.failure;
+  ASSERT_FALSE(r.cache_hit);
+  ASSERT_TRUE(r.preflight_ran);
+  EXPECT_EQ(spans(ev, "service.compile").count, 1);
+  EXPECT_NEAR(r.compile_ms, spans(ev, "service.compile").ms, kOneMicrosecondMs);
+  EXPECT_NEAR(r.preflight_ms, spans(ev, "service.preflight").ms, kOneMicrosecondMs);
+  EXPECT_EQ(spans(ev, "primary").count, 1);
+  EXPECT_NEAR(r.solve_ms, spans(ev, "primary").ms + spans(ev, "greedy_fallback").ms,
+              kOneMicrosecondMs);
+  EXPECT_NEAR(r.fallback_ms, spans(ev, "greedy_fallback").ms, kOneMicrosecondMs);
+  EXPECT_EQ(spans(ev, "planner.graph").count, 1);
+  EXPECT_NEAR(r.stats.time_graph_ms, spans(ev, "planner.graph").ms, kOneMicrosecondMs);
+  EXPECT_EQ(spans(ev, "rg.search").count, 1);
+  EXPECT_NEAR(r.stats.time_search_ms, spans(ev, "rg.search").ms, kOneMicrosecondMs);
+}
+
+TEST(TimingSpans, RepairRequestFieldsEqualTheirSpans) {
+  const auto [r, ev] = serve(repair_request(), true);
+  ASSERT_EQ(r.outcome, service::Outcome::Solved) << r.failure;
+  ASSERT_TRUE(r.repair_requested);
+  ASSERT_TRUE(r.repair_preflight_ran);
+  EXPECT_EQ(spans(ev, "service.repair_compile").count, 1);
+  EXPECT_NEAR(r.compile_ms,
+              spans(ev, "service.compile").ms + spans(ev, "service.repair_compile").ms,
+              kOneMicrosecondMs);
+  EXPECT_NEAR(r.repair_preflight_ms, spans(ev, "service.repair_preflight").ms,
+              kOneMicrosecondMs);
+  EXPECT_NEAR(r.preflight_ms, spans(ev, "service.preflight").ms, kOneMicrosecondMs);
+  EXPECT_NEAR(r.solve_ms, spans(ev, "primary").ms + spans(ev, "full_replan").ms,
+              kOneMicrosecondMs);
+  EXPECT_NEAR(r.fallback_ms, spans(ev, "full_replan").ms, kOneMicrosecondMs);
+}
+
+TEST(TimingSpans, CpRequestFieldsEqualTheirSpans) {
+  const auto [r, ev] = serve(plain_request(core::PlannerOptions::Mode::Cp), true);
+  ASSERT_EQ(r.outcome, service::Outcome::Solved) << r.failure;
+  EXPECT_EQ(spans(ev, "cp.bound").count, 1);
+  EXPECT_EQ(spans(ev, "cp.search").count, 1);
+  EXPECT_NEAR(r.stats.time_graph_ms, spans(ev, "cp.bound").ms, kOneMicrosecondMs);
+  EXPECT_NEAR(r.stats.time_search_ms, spans(ev, "cp.search").ms, kOneMicrosecondMs);
+  EXPECT_NEAR(r.solve_ms, spans(ev, "primary").ms, kOneMicrosecondMs);
+}
+
+TEST(TimingSpans, FieldsAreTimedWithoutCollector) {
+  for (service::PlanRequest req : {plain_request(core::PlannerOptions::Mode::Leveled),
+                                   repair_request(),
+                                   plain_request(core::PlannerOptions::Mode::Cp)}) {
+    const std::string id = req.id;
+    const auto [r, ev] = serve(std::move(req), false);
+    ASSERT_EQ(r.outcome, service::Outcome::Solved) << id << ": " << r.failure;
+    EXPECT_TRUE(ev.empty()) << id;
+    EXPECT_GT(r.compile_ms, 0.0) << id;
+    EXPECT_GT(r.solve_ms, 0.0) << id;
+    EXPECT_GT(r.stats.time_search_ms, 0.0) << id;
+  }
 }
 
 // ---- log gate and sinks -------------------------------------------------
@@ -353,6 +469,17 @@ TEST(PlannerObservability, LogDisabledPlanIsByteIdentical) {
   EXPECT_GT(c.event_count(), 0u) << "observed run produced no trace events";
 }
 
+TEST(PlannerObservability, LogDisabledTimedSpanFillsFieldWithoutEvent) {
+  // A span compiled with SEKITEI_LOG_DISABLED records no event even with a
+  // collector installed, but a span with a field to fill still times.
+  trace::Collector c;
+  trace::install(&c);
+  const double ms = testing::quiet_timed_span_ms();
+  trace::uninstall();
+  EXPECT_GT(ms, 0.0);
+  EXPECT_EQ(c.event_count(), 0u);
+}
+
 // ---- solve_file CLI end-to-end -------------------------------------------
 
 #ifdef SEKITEI_SOLVE_FILE_BIN
@@ -393,6 +520,36 @@ TEST(SolveFileCli, TraceFileIsValidChromeTrace) {
   EXPECT_TRUE(saw_search);
   EXPECT_TRUE(saw_plan);
   std::remove(trace_path.c_str());
+}
+
+/// Runs example_solve_file on media.sk with its first `cost 1;` replaced by
+/// `cost <formula>;` and returns the exit status.
+int solve_with_cost_formula(const std::string& formula, const std::string& stem) {
+  std::ifstream in(std::string(SEKITEI_EXAMPLES_DATA_DIR) + "/media.sk");
+  std::ostringstream os;
+  os << in.rdbuf();
+  std::string domain = os.str();
+  const std::size_t at = domain.find("cost 1;");
+  EXPECT_NE(at, std::string::npos);
+  domain.replace(at, 7, "cost " + formula + ";");
+  const std::string path = ::testing::TempDir() + stem + ".sk";
+  std::ofstream(path) << domain;
+  const std::string cmd = std::string("\"") + SEKITEI_SOLVE_FILE_BIN + "\" \"" + path +
+                          "\" \"" + SEKITEI_EXAMPLES_DATA_DIR +
+                          "/tiny.sk\" --plan-only > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  std::remove(path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(SolveFileCli, ExpressionBombsExitWithInputError) {
+  // A crash (exit 139 from the shell) would read as -1 or 139 here.
+  std::string nested = std::string(100000, '(') + "1" + std::string(100000, ')');
+  EXPECT_EQ(solve_with_cost_formula(nested, "sekitei_nested_bomb"), 2);
+  std::string chain = "1";
+  for (int i = 1; i < 200000; ++i) chain += "+1";
+  EXPECT_EQ(solve_with_cost_formula(chain, "sekitei_chain_bomb"), 2);
+  EXPECT_EQ(solve_with_cost_formula("1", "sekitei_unchanged"), 0);
 }
 #endif  // SEKITEI_SOLVE_FILE_BIN
 
