@@ -7,9 +7,11 @@
 //             problem (lex-leader symmetry breaking on / off); the medians'
 //             ratio is the "cp.speedup" number the perf gate tracks — the
 //             record carries the "speedup" key.
-//   table2    Tiny scenarios B-E, Small C and E, and Large C re-solved by
-//             both backends; each row asserts cost agreement and reports
-//             both wall clocks, CP's branches and its cost-bounded passes.
+//   table2    Tiny scenarios B-E, Small B, C and E, and Large C re-solved
+//             by both backends; each row asserts cost agreement and reports
+//             both wall clocks (each the median of three in-process
+//             repeats), CP's branches, its cost-bounded passes, its
+//             validator calls and the time spent inside them (sim_ms).
 //             The gate sums the rows' cp_ms into "cp.table2_ms_total".
 //             These records deliberately carry NO "speedup" key so the
 //             gate's max() only ever sees the star number.
@@ -40,6 +42,12 @@ using namespace sekitei;
 /// pinned speedup stays stable where a median-of-sub-ms-samples does not.
 double best(const std::vector<double>& v) {
   return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 /// Hub-and-spoke drop-off: s -LAN- m_i -WAN- cl for K identical middles
@@ -78,16 +86,29 @@ std::string star_problem(int middles) {
   return text;
 }
 
+/// Validator calls of one solve and the time spent inside them.
+struct Validations {
+  std::uint64_t calls = 0;
+  double ms = 0.0;
+};
+
 /// CP solve with the simulator as the acceptance check, like the planner
 /// facade wires it.
-cp::Result solve_cp(const model::CompiledProblem& cp_model, bool symmetry) {
+cp::Result solve_cp(const model::CompiledProblem& cp_model, bool symmetry,
+                    Validations* validations = nullptr) {
   sim::Executor exec(cp_model);
   cp::Options opt;
   opt.symmetry_breaking = symmetry;
   opt.validate = [&](std::span<const ActionId> steps, double) {
+    Stopwatch w;
     core::Plan plan;
     plan.steps.assign(steps.begin(), steps.end());
-    return exec.execute(plan).feasible;
+    const bool feasible = exec.execute(plan).feasible;
+    if (validations != nullptr) {
+      ++validations->calls;
+      validations->ms += w.elapsed_ms();
+    }
+    return feasible;
   };
   return cp::solve(cp_model, opt);
 }
@@ -152,20 +173,35 @@ int run_star(int middles, int repeats) {
   return 0;
 }
 
+/// Each table2 row's times are the median of this many in-process repeats,
+/// so a single load spike does not move the gate's sum.
+constexpr int kRowRepeats = 3;
+
 int run_table2_row(const char* net_name, const domains::media::Instance& inst,
                    char sc_name) {
   auto cp_model = model::compile(inst.problem, domains::media::scenario(sc_name));
   const char scenario[2] = {sc_name, '\0'};
 
-  Stopwatch rg_w;
-  core::Sekitei planner(cp_model);
-  sim::Executor exec(cp_model);
-  auto rg = planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
-  const double rg_ms = rg_w.elapsed_ms();
+  std::vector<double> rg_times, cp_times, sim_times;
+  core::PlanResult rg;
+  cp::Result bnb;
+  Validations validations;
+  for (int i = 0; i < kRowRepeats; ++i) {
+    Stopwatch rg_w;
+    core::Sekitei planner(cp_model);
+    sim::Executor exec(cp_model);
+    rg = planner.plan([&](const core::Plan& p) { return exec.execute(p).feasible; });
+    rg_times.push_back(rg_w.elapsed_ms());
 
-  Stopwatch cp_w;
-  const cp::Result bnb = solve_cp(cp_model, true);
-  const double cp_ms = cp_w.elapsed_ms();
+    validations = {};
+    Stopwatch cp_w;
+    bnb = solve_cp(cp_model, true, &validations);
+    cp_times.push_back(cp_w.elapsed_ms());
+    sim_times.push_back(validations.ms);
+  }
+  const double rg_ms = median(rg_times);
+  const double cp_ms = median(cp_times);
+  const double sim_ms = median(sim_times);
 
   if (rg.ok() != bnb.ok()) {
     std::printf("%s/%c: verdicts differ (rg %s, cp %s)\n", net_name, sc_name,
@@ -180,9 +216,10 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
   const double cost = rg.ok() ? rg.plan->cost_lb : 0.0;
   std::printf(
       "  %-5s %c | %11.2f | rg %9.2f ms (%7llu exp) | cp %9.2f ms (%8llu branches, %3llu "
-      "passes)\n",
+      "passes, sim %7.2f ms in %4llu validations)\n",
       net_name, sc_name, cost, rg_ms, (unsigned long long)rg.stats.rg_expansions, cp_ms,
-      (unsigned long long)bnb.stats.branches, (unsigned long long)bnb.stats.passes);
+      (unsigned long long)bnb.stats.branches, (unsigned long long)bnb.stats.passes, sim_ms,
+      (unsigned long long)validations.calls);
   benchjson::emit("cp", {benchjson::kv("family", "table2"),
                          benchjson::kv("net", net_name),
                          benchjson::kv("scenario", scenario),
@@ -192,7 +229,10 @@ int run_table2_row(const char* net_name, const domains::media::Instance& inst,
                          benchjson::kv("cp_ms", cp_ms),
                          benchjson::kv("rg_expansions", rg.stats.rg_expansions),
                          benchjson::kv("cp_branches", bnb.stats.branches),
-                         benchjson::kv("passes", bnb.stats.passes)},
+                         benchjson::kv("passes", bnb.stats.passes),
+                         benchjson::kv("sim_ms", sim_ms),
+                         benchjson::kv("validations", validations.calls),
+                         benchjson::kv("repeats", kRowRepeats)},
                   nullptr);
   return 0;
 }
@@ -209,7 +249,7 @@ int main() {
   const auto tiny = domains::media::tiny();
   for (char sc : {'B', 'C', 'D', 'E'}) rc |= run_table2_row("tiny", *tiny, sc);
   const auto small = domains::media::small();
-  for (char sc : {'C', 'E'}) rc |= run_table2_row("small", *small, sc);
+  for (char sc : {'B', 'C', 'E'}) rc |= run_table2_row("small", *small, sc);
   const auto large = domains::media::large();
   rc |= run_table2_row("large", *large, 'C');
   return rc;

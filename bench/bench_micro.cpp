@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the planner's hot paths: expression
-// evaluation, interval evaluation, plan-tail replay, problem leveling, and
-// the PLRG/SLRG construction.  These guard the constant factors behind
+// evaluation, interval evaluation, plan-tail replay, the simulator's
+// acceptance check, problem leveling, and the PLRG/SLRG construction.  These guard the constant factors behind
 // Table 2's planning-time column.
 //
 // The BM_Trace* group guards the observability layer's idle cost: with the
@@ -19,6 +19,7 @@
 #include "expr/program.hpp"
 #include "model/compile.hpp"
 #include "model/replay.hpp"
+#include "sim/executor.hpp"
 #include "support/trace.hpp"
 
 namespace {
@@ -104,6 +105,47 @@ void BM_ReplayPlanTail(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplayPlanTail);
+
+/// The first candidate the simulator rejects and the plan it accepts while
+/// the CP backend solves Small/B (the perfbench `cp` workload's main class).
+struct SmallBCandidates {
+  std::unique_ptr<domains::media::Instance> inst = domains::media::small();
+  model::CompiledProblem cp = model::compile(inst->problem, domains::media::scenario('B'));
+  core::Plan rejected, accepted;
+
+  SmallBCandidates() {
+    core::PlannerOptions opt;
+    opt.mode = core::PlannerOptions::Mode::Cp;
+    core::Sekitei planner(cp, opt);
+    sim::Executor exec(cp);
+    const auto r = planner.plan([&](const core::Plan& p) {
+      const bool ok = exec.execute(p).feasible;
+      if (!ok && rejected.steps.empty()) rejected = p;
+      return ok;
+    });
+    if (r.ok()) accepted = *r.plan;
+  }
+};
+
+void sim_execute(benchmark::State& state, bool feasible) {
+  const SmallBCandidates c;
+  const core::Plan& plan = feasible ? c.accepted : c.rejected;
+  if (plan.steps.empty()) {
+    state.SkipWithError("no candidate");
+    return;
+  }
+  sim::Executor exec(c.cp);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec.execute(plan).feasible);
+  }
+}
+
+/// A rejection: the top point fails, then the grid scan and bisection run.
+void BM_SimExecuteRejected(benchmark::State& state) { sim_execute(state, false); }
+BENCHMARK(BM_SimExecuteRejected);
+
+void BM_SimExecuteAccepted(benchmark::State& state) { sim_execute(state, true); }
+BENCHMARK(BM_SimExecuteAccepted);
 
 void BM_PlrgBuild(benchmark::State& state) {
   auto inst = domains::media::large();

@@ -1,6 +1,7 @@
 #include "cp/search.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "cp/bound.hpp"
 #include "model/replay.hpp"
@@ -54,6 +55,9 @@ class Search {
   bool has_best_ = false;
   double best_g_ = 0.0;
   std::vector<ActionId> best_steps_;
+  // Complete assignments the validator rejected.  IDA*_CR re-walks every
+  // earlier pass, so without this each pass would re-simulate them all.
+  std::set<std::vector<ActionId>> rejected_;
 
   bool abort_ = false;
   double current_f_ = 0.0;  // f of the subtree being entered (frontier part)
@@ -125,7 +129,10 @@ void Search::enter(std::uint32_t idx) {
     std::vector<ActionId> tail = tail_of(idx);
     if (replayer_.replay(tail, /*from_init=*/true, model::ReplayMode::Optimistic)) {
       bool accepted = true;
-      if (opt_.validate) accepted = opt_.validate(tail, g);
+      if (opt_.validate) {
+        accepted = !rejected_.contains(tail) && opt_.validate(tail, g);
+        if (!accepted) rejected_.insert(tail);
+      }
       if (accepted) {
         if (!has_best_ || g < best_g_) {
           has_best_ = true;

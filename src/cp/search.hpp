@@ -90,7 +90,10 @@ struct Options {
   /// exhaustive ones, like the RG's anytime gate).
   bool anytime = true;
   /// Concrete acceptance check for complete assignments (the simulator
-  /// hook); a rejected assignment resumes the search.
+  /// hook); a rejected assignment resumes the search.  It must be a pure
+  /// function of the steps (the cost is theirs too): the search calls it
+  /// once per distinct assignment and remembers a rejection for the later
+  /// passes, which still count it in Stats::sim_rejections.
   std::function<bool(std::span<const ActionId>, double cost)> validate;
   std::function<void(const Stats&)> progress;
 };

@@ -12,17 +12,42 @@ using spec::LevelTag;
 
 bool Replayer::replay(std::span<const ActionId> steps, bool from_init, ReplayMode mode) {
   ++calls_;
-  failure_.clear();
+  fault_ = Fault::None;
   // Fault point on the acceptance replays only (from_init == true, the
   // validation of a complete candidate plan, RG or CP): Fail mode reports a
   // replay failure — the search prunes the candidate and keeps going — while
   // Throw mode propagates to the caller's error path.
   if (from_init && SEKITEI_FAULT_POINT("replay.validate")) {
-    failure_ = "injected fault at replay.validate";
+    fault_ = Fault::Injected;
     return false;
   }
   return mode == ReplayMode::Optimistic ? run<ReplayMode::Optimistic>(steps, from_init)
                                         : run<ReplayMode::WorstCase>(steps, from_init);
+}
+
+std::string Replayer::failure() const {
+  const auto sem = [this]() -> const CompiledSemantics& {
+    return *cp_.actions[fault_action_.index()].sem;
+  };
+  switch (fault_) {
+    case Fault::None:
+      return {};
+    case Fault::Injected:
+      return "injected fault at replay.validate";
+    case Fault::DegradableBelow:
+      return "degradable input below required level";
+    case Fault::UpgradableAbove:
+      return "upgradable input above required level";
+    case Fault::EmptyIntersection:
+      return "optimistic interval intersection empty";
+    case Fault::Condition:
+      return "condition failed: " + sem().conditions[fault_index_].source;
+    case Fault::Narrowing:
+      return "narrowing emptied interval: " + sem().conditions[fault_index_].source;
+    case Fault::Output:
+      return "produced value misses asserted level: " + sem().effects[fault_index_].source;
+  }
+  return {};
 }
 
 template <ReplayMode M>
@@ -41,11 +66,12 @@ bool Replayer::run(std::span<const ActionId> steps, bool from_init) {
   }
   for (ActionId a : steps) {
     if (!step<M>(cp_.actions[a.index()])) {
+      fault_action_ = a;
       // Trace-level because this is the searches' *normal* pruning
       // mechanism, not an anomaly; the level gate keeps the hot path at one
       // load.
       SEKITEI_LOG_TRACE("model.replay", "tail pruned", log::kv("action", cp_.describe(a)),
-                        log::kv("reason", failure_), log::kv("steps", steps.size()));
+                        log::kv("reason", failure()), log::kv("steps", steps.size()));
       return false;
     }
   }
@@ -80,7 +106,7 @@ bool Replayer::step(const GroundAction& act) {
       // consumed at the lower level: shift down as long as the producer can
       // attainably reach req.lo.
       if (cur.hi < req.lo || (cur.hi == req.lo && cur.hi_open && req.lo > 0)) {
-        failure_ = "degradable input below required level";
+        fault_ = Fault::DegradableBelow;
         return false;
       }
       merged.lo = req.lo;
@@ -88,7 +114,7 @@ bool Replayer::step(const GroundAction& act) {
     } else if (leveled && sem.roles[s] == SlotRole::Input &&
                sem.tags[s] == LevelTag::Upgradable) {
       if (cur.lo > req.hi || (cur.lo == req.hi && req.hi_open)) {
-        failure_ = "upgradable input above required level";
+        fault_ = Fault::UpgradableAbove;
         return false;
       }
       merged = {std::max(cur.lo, req.lo), req.hi, req.hi_open};
@@ -96,7 +122,7 @@ bool Replayer::step(const GroundAction& act) {
       merged = intersect(cur, req);
     }
     if (merged.is_empty()) {
-      failure_ = "optimistic interval intersection empty";
+      fault_ = Fault::EmptyIntersection;
       return false;
     }
     map_.set(var, merged);
@@ -109,10 +135,12 @@ bool Replayer::step(const GroundAction& act) {
 
   // 2. Conditions: prune unsatisfiable branches; narrow single-variable
   //    sides (a necessary-condition cut, hence sound).
-  for (const expr::CompiledCondition& cond : sem.conditions) {
+  for (std::uint32_t c = 0; c < sem.conditions.size(); ++c) {
+    const expr::CompiledCondition& cond = sem.conditions[c];
     const bool ok = M == ReplayMode::WorstCase ? cond.certain(slots) : cond.satisfiable(slots);
     if (!ok) {
-      failure_ = "condition failed: " + cond.source;
+      fault_ = Fault::Condition;
+      fault_index_ = c;
       return false;
     }
     const std::uint32_t ls = cond.lhs.single_var_slot();
@@ -123,7 +151,8 @@ bool Replayer::step(const GroundAction& act) {
     auto narrow = [&](std::uint32_t slot, Interval bound) -> bool {
       const Interval nv = intersect(slots[slot], bound);
       if (nv.is_empty()) {
-        failure_ = "narrowing emptied interval: " + cond.source;
+        fault_ = Fault::Narrowing;
+        fault_index_ = c;
         return false;
       }
       slots[slot] = nv;
@@ -152,13 +181,15 @@ bool Replayer::step(const GroundAction& act) {
 
   // 3. Effects: sequential interval execution, then write-back.  Produced
   //    outputs must stay inside their asserted level.
-  for (const expr::CompiledEffect& eff : sem.effects) {
+  for (std::uint32_t e = 0; e < sem.effects.size(); ++e) {
+    const expr::CompiledEffect& eff = sem.effects[e];
     eff.apply_interval(slots);
     Interval v = slots[eff.target];
     if (sem.roles[eff.target] == SlotRole::Output) {
       v = intersect(v, act.slot_opt[eff.target]);
       if (v.is_empty()) {
-        failure_ = "produced value misses asserted level: " + eff.source;
+        fault_ = Fault::Output;
+        fault_index_ = e;
         return false;
       }
       slots[eff.target] = v;

@@ -54,8 +54,9 @@ class Replayer {
   /// The map after the last successful replay (for inspection/tests).
   [[nodiscard]] const ResourceMap& map() const { return map_; }
 
-  /// Why the last replay failed (empty when it succeeded).
-  [[nodiscard]] const std::string& failure() const { return failure_; }
+  /// Why the last replay failed (empty when it succeeded), rendered from
+  /// the recorded fault on demand: a pruned tail costs no string.
+  [[nodiscard]] std::string failure() const;
 
   /// Total replay() invocations over this replayer's lifetime — the dominant
   /// inner-loop work item of both searches (PlannerStats::replay_calls,
@@ -70,10 +71,23 @@ class Replayer {
   template <ReplayMode M>
   [[nodiscard]] bool step(const GroundAction& act);
 
+  enum class Fault : unsigned char {
+    None,
+    Injected,
+    DegradableBelow,
+    UpgradableAbove,
+    EmptyIntersection,
+    Condition,  // fault_index_ names the condition
+    Narrowing,  // fault_index_ names the condition
+    Output,     // fault_index_ names the effect
+  };
+
   const CompiledProblem& cp_;
   ResourceMap map_;
   std::vector<Interval> scratch_;
-  std::string failure_;
+  Fault fault_ = Fault::None;
+  ActionId fault_action_;        // the step that failed
+  std::uint32_t fault_index_ = 0;
   std::uint64_t calls_ = 0;
 };
 

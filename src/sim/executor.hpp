@@ -63,7 +63,7 @@ struct ExecutionReport {
 
 class Executor {
  public:
-  explicit Executor(const model::CompiledProblem& cp) : cp_(cp) {}
+  explicit Executor(const model::CompiledProblem& cp);
 
   /// Executes the plan, resolving choices greedily (see file comment).
   [[nodiscard]] ExecutionReport execute(const core::Plan& plan);
@@ -74,15 +74,39 @@ class Executor {
                                         std::span<const double> choices);
 
   /// Number of choice variables in the problem's initial state.
-  [[nodiscard]] std::size_t choice_count() const;
-
-  /// Total attempt() invocations (the grid/bisection probes behind
-  /// execute()) over this executor's lifetime.
-  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
+  [[nodiscard]] std::size_t choice_count() const { return ranges_.size(); }
 
  private:
+  enum class FaultKind : unsigned char {
+    None,  // the plan executed
+    ChoiceOutOfRange,
+    NeverProduced,
+    InputBelow,
+    InputAbove,
+    InputOutside,
+    Condition,  // index names the condition
+    Output,     // index names the effect
+  };
+  /// What one execution found: everything a report needs but the values.
+  struct Fault {
+    FaultKind kind = FaultKind::None;
+    std::uint32_t step = 0;   // plan step that failed
+    std::uint32_t index = 0;  // condition or effect index within it
+    double cost = 0.0;        // cost of the steps that completed
+  };
+
+  /// The kernel behind attempt() and execute()'s probes: runs the plan with
+  /// fixed choices into values_, allocating nothing and formatting nothing.
+  [[nodiscard]] Fault run(const core::Plan& plan, std::span<const double> choices);
+  /// Renders the report of run(plan, choices), which must be the last run.
+  [[nodiscard]] ExecutionReport report(const core::Plan& plan, std::span<const double> choices,
+                                       const Fault& fault) const;
+
   const model::CompiledProblem& cp_;
-  std::uint64_t attempts_ = 0;
+  std::vector<Interval> ranges_;  // usable range of each choice, init_map order
+  model::VarMap<double> values_;
+  std::vector<double> slots_;
+  std::vector<double> x_, best_x_;  // execute()'s probe and its best feasible point
 };
 
 }  // namespace sekitei::sim

@@ -353,6 +353,32 @@ TEST(CpBackend, TinyBAndSmallBVisitNoExtraBranches) {
   EXPECT_LE(small.stats.branches, 587u);
 }
 
+TEST(CpBackend, SmallBSimulatesEachRejectedAssignmentOnce) {
+  // Every cost-bounded pass re-walks the earlier ones; a complete
+  // assignment the simulator rejected is remembered, not simulated again,
+  // and still counts as a rejection.  Simulating every visit took 64
+  // validator calls here.
+  const auto inst = domains::media::small();
+  model::CompiledProblem cp_model = model::compile(inst->problem, domains::media::scenario('B'));
+  analysis::attach_symmetry(cp_model);
+  sim::Executor exec(cp_model);
+  std::uint64_t calls = 0;
+  cp::Options opt;
+  opt.validate = [&](std::span<const ActionId> steps, double) {
+    ++calls;
+    core::Plan plan;
+    plan.steps.assign(steps.begin(), steps.end());
+    return exec.execute(plan).feasible;
+  };
+  const cp::Result r = cp::solve(cp_model, opt);
+  ASSERT_TRUE(r.ok()) << r.failure;
+  EXPECT_NEAR(r.cost, 10.0, 1e-9);
+  EXPECT_EQ(r.stats.branches, 587u);
+  EXPECT_EQ(r.stats.propagations, 709u);
+  EXPECT_EQ(r.stats.sim_rejections, 63u);
+  EXPECT_EQ(calls, 50u);  // 49 distinct rejected assignments + the accepted one
+}
+
 TEST(CpBackend, StoppedStatsSurfaceThroughThePlannerFacade) {
   const std::string domain = slurp(data_file("media.sk"));
   const Inst inst = compile_text(domain, slurp(data_file("small.sk")));

@@ -1,12 +1,23 @@
 // Unit tests for the concrete executor (sim/executor): greedy-within-level
-// choice resolution, bisection, level containment, degradable clamping, and
-// resource accounting.
+// choice resolution, bisection, level containment, degradable clamping,
+// resource accounting, and a golden file of every report the simulator
+// hands the planners' validator.
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "analysis/symmetry.hpp"
 #include "core/planner.hpp"
 #include "domains/media.hpp"
 #include "model/compile.hpp"
 #include "sim/executor.hpp"
+
+#ifndef SEKITEI_TEST_SIM_GOLDEN
+#error "SEKITEI_TEST_SIM_GOLDEN must name tests/sim_reports.golden (set by CMake)"
+#endif
 
 namespace sekitei::sim {
 namespace {
@@ -154,6 +165,84 @@ TEST(Executor, ScenarioBReservesHundredOnLans) {
   }
   EXPECT_EQ(lan_links_used, 3);
   EXPECT_NEAR(rep.total_reserved(net::LinkClass::Lan), 300.0, 1e-2);
+}
+
+std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// One golden line: the plan's steps and every field of its report.
+std::string report_line(const core::Plan& plan, const ExecutionReport& rep) {
+  std::string line = "steps";
+  for (ActionId a : plan.steps) line += ' ' + std::to_string(a.index());
+  line += " | feasible " + std::to_string(rep.feasible ? 1 : 0);
+  line += " | failure " + rep.failure;
+  line += " | choices";
+  for (double c : rep.choices) line += ' ' + g17(c);
+  line += " | cost " + g17(rep.actual_cost);
+  line += " | links";
+  for (const LinkUse& u : rep.link_use) {
+    line += ' ' + std::to_string(u.link.index()) + ':' + net::link_class_name(u.cls) + '=' +
+            g17(u.used);
+  }
+  line += " | nodes";
+  for (const NodeUse& u : rep.node_use) {
+    line += ' ' + std::to_string(u.node.index()) + '=' + g17(u.used);
+  }
+  line += " | vars";
+  for (const auto& [var, val] : rep.final_vars) {
+    line += ' ' + std::to_string(var.index()) + '=' + g17(val);
+  }
+  return line + '\n';
+}
+
+/// Every report the simulator hands the validator while the planner solves
+/// Tiny/B and Small/B in both modes and Large/B leveled, compiled with the
+/// symmetry partition attached as the engine does.  A candidate validated
+/// twice is listed at its first call only.
+std::string validator_reports() {
+  using Mode = core::PlannerOptions::Mode;
+  const auto tiny = domains::media::tiny();
+  const auto small = domains::media::small();
+  const auto large = domains::media::large();
+  struct Case {
+    const char* name;
+    const domains::media::Instance* inst;
+    Mode mode;
+  };
+  const Case cases[] = {{"tiny/B leveled", tiny.get(), Mode::Leveled},
+                        {"tiny/B cp", tiny.get(), Mode::Cp},
+                        {"small/B leveled", small.get(), Mode::Leveled},
+                        {"small/B cp", small.get(), Mode::Cp},
+                        {"large/B leveled", large.get(), Mode::Leveled}};
+  std::string out;
+  for (const Case& c : cases) {
+    model::CompiledProblem cp = model::compile(c.inst->problem, scenario('B'));
+    analysis::attach_symmetry(cp);
+    core::PlannerOptions opt;
+    opt.mode = c.mode;
+    core::Sekitei planner(cp, opt);
+    Executor exec(cp);
+    std::set<std::vector<ActionId>> seen;
+    out += std::string("# ") + c.name + '\n';
+    const core::PlanResult r = planner.plan([&](const core::Plan& p) {
+      const ExecutionReport rep = exec.execute(p);
+      if (seen.insert(p.steps).second) out += report_line(p, rep);
+      return rep.feasible;
+    });
+    out += "# plan " + (r.ok() ? g17(r.plan->cost_lb) : r.failure) + '\n';
+  }
+  return out;
+}
+
+TEST(Executor, ValidatorReportsMatchTheGoldenFile) {
+  std::ifstream in(SEKITEI_TEST_SIM_GOLDEN);
+  ASSERT_TRUE(in) << "cannot open " << SEKITEI_TEST_SIM_GOLDEN;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(validator_reports(), golden.str());
 }
 
 }  // namespace
