@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   auto cp = model::compile(inst->problem, domains::media::scenario(scenario));
   std::printf("leveling: %zu ground actions (%llu combos considered, %llu pruned)\n",
               cp.actions.size(), (unsigned long long)cp.combos_considered,
-              (unsigned long long)cp.combos_pruned);
+              (unsigned long long)(cp.combos_considered - cp.actions.size()));
 
   core::PlannerOptions opt;
   if (scenario == 'A') opt.mode = core::PlannerOptions::Mode::Greedy;

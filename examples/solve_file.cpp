@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     }();
     std::printf("leveling: %zu ground actions (%llu combos, %llu pruned)\n", cp.actions.size(),
                 (unsigned long long)cp.combos_considered,
-                (unsigned long long)cp.combos_pruned);
+                (unsigned long long)(cp.combos_considered - cp.actions.size()));
 
     if (lint) {
       const analysis::AnalysisReport report = analysis::analyze(cp);

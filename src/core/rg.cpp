@@ -162,10 +162,13 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     }
 
     for (ActionId a : cands) {
-      // Canonical ordering of adjacent independent actions: `a` executes
-      // right before this node's action; if they commute, only explore the
-      // ascending-id order.
-      if (options.commutativity_pruning && pool_[cur.node].action.valid()) {
+      // Commutativity pruning: `a` executes right before this node's
+      // action; if they commute (disjoint resources, neither supports the
+      // other's preconditions), only the ascending-id order is explored.
+      // Any plan has such a canonical reordering (adjacent independent swaps
+      // preserve the replay outcome exactly), so completeness is kept while
+      // the factorial interleavings of parallel stream chains collapse.
+      if (pool_[cur.node].action.valid()) {
         const ActionId b = pool_[cur.node].action;
         if (a > b && commute_.independent(a, b)) continue;
       }

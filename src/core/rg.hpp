@@ -43,13 +43,6 @@ class Rg {
     /// tree finite even in pathological cost structures; no stream-delivery
     /// plan benefits from repeating an identical leveled action.
     bool forbid_repeated_actions = true;
-    /// Commutativity pruning: when two adjacent actions in a tail touch
-    /// disjoint resources and neither supports the other's preconditions,
-    /// only the ActionId-ascending order is explored.  Any plan has an
-    /// equivalent canonical reordering (adjacent independent swaps preserve
-    /// the replay outcome exactly), so completeness is kept while the
-    /// factorial interleavings of parallel stream chains collapse.
-    bool commutativity_pruning = true;
     /// Symmetry (canonical-representative) pruning: when the compiled
     /// problem carries a verified node partition (analysis::attach_symmetry),
     /// a candidate that introduces a node unused by the tail-so-far is

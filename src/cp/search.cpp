@@ -180,9 +180,7 @@ void Search::enter(std::uint32_t idx) {
   for (ActionId a : cands) {
     // Canonical ordering of adjacent independent actions: explore only the
     // ascending-id order of a commuting pair.
-    if (opt_.commutativity_pruning && via.valid() && a > via && commute_.independent(a, via)) {
-      continue;
-    }
+    if (via.valid() && a > via && commute_.independent(a, via)) continue;
     if (sym && cp_.twin_blocked(a, used)) {
       ++st_.pruned_symmetry;
       continue;

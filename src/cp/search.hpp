@@ -81,7 +81,6 @@ struct Options {
   /// appears in the plan.  No-op when no partition is attached.
   bool symmetry_breaking = true;
   bool forbid_repeated_actions = true;
-  bool commutativity_pruning = true;
   std::uint64_t max_nodes = 1u << 21;  // visited-node budget
   std::uint64_t progress_every = 8192;
   StopToken stop;

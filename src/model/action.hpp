@@ -1,11 +1,14 @@
 // Ground, leveled planning actions (Section 3.1, "Leveled actions").
 //
-// The CPP compiles into two families of actions:
-//   placeX(?node)                -> one ground action per (component, node,
-//                                   input-level combo, output-level combo,
-//                                   node-resource-level combo)
-//   cross(?iface ?from ?to)      -> one per (interface, directed link,
-//                                   in-level, out-level, link-level combo)
+// The CPP compiles into two families of actions, placeX(?node) and
+// cross(?iface ?from ?to), grounded by one rule: each component and each
+// interface is a leveled action template instantiated at a site
+// (in_node, out_node, link) -- (n, n, -) for a placement on n, (u, v, l)
+// for a crossing of link l from u to v -- once per combination of its
+// input-stream levels, output-stream levels and scenario-leveled resource
+// levels.  A template's formula slots are of four kinds: a stream property
+// at the site's input node or at its output node, a node resource, a link
+// resource.
 //
 // Each ground action carries
 //   * logical preconditions / effects (PropIds),

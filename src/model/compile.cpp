@@ -108,11 +108,15 @@ namespace {
 using spec::LevelSet;
 using spec::LevelTag;
 
-/// Where a formula slot points, before grounding onto a concrete node/link.
+constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+/// Where a formula slot points, before grounding at a site: a stream
+/// property at the site's input node (`In`) or output node (`Out`), a
+/// resource of the input node, or a resource of the link.
 struct SlotDesc {
-  enum class Kind : unsigned char { InputProp, OutputProp, CrossPre, CrossPost, NodeRes, LinkRes };
+  enum class Kind : unsigned char { In, Out, NodeRes, LinkRes };
   Kind kind = Kind::NodeRes;
-  std::uint32_t iface = 0;  // domain interface index, for the prop kinds
+  std::uint32_t iface = 0;  // domain interface index, for the stream kinds
   NameId prop;              // property / resource name
 
   friend bool operator==(const SlotDesc& a, const SlotDesc& b) {
@@ -123,6 +127,28 @@ struct SlotDesc {
 struct SemanticsBundle {
   CompiledSemantics* sem = nullptr;
   std::vector<SlotDesc> descs;
+};
+
+/// A leveled action template: one component's placement or one interface's
+/// link crossing, with its digit layout.  The digits, least significant
+/// first, are the level of each input stream, the level of each output
+/// stream, and the level of each resource slot the scenario levels.
+struct Template {
+  ActionKind kind = ActionKind::Place;
+  std::uint32_t spec_index = 0;
+  const SemanticsBundle* bundle = nullptr;
+  std::vector<std::uint32_t> inputs, outputs;  // interface indices
+  std::vector<std::uint32_t> in_slots, out_slots;  // leveled property slot, or kNoSlot
+  std::vector<std::pair<std::uint32_t, const LevelSet*>> leveled_res;
+  std::vector<std::uint32_t> radices;
+};
+
+/// Where a template is instantiated: a placement on node n is (n, n, -), a
+/// crossing of link l from u to v is (u, v, l).
+struct Site {
+  NodeId in_node;
+  NodeId out_node;
+  LinkId link;
 };
 
 /// Odometer over mixed-radix digits; visits every combination.
@@ -142,11 +168,6 @@ class Odometer {
     }
     done_ = true;
   }
-  [[nodiscard]] std::uint64_t combinations() const {
-    std::uint64_t n = 1;
-    for (std::uint32_t r : radices_) n *= r;
-    return n;
-  }
 
  private:
   std::vector<std::uint32_t> radices_;
@@ -156,8 +177,9 @@ class Odometer {
 
 class Compiler {
  public:
-  Compiler(const CppProblem& problem, const spec::LevelScenario& scenario)
-      : prob_(problem), scen_(scenario) {
+  Compiler(const CppProblem& problem, const spec::LevelScenario& scenario,
+           const StopToken& stop)
+      : prob_(problem), scen_(scenario), stop_(stop) {
     SEKITEI_ASSERT(problem.network != nullptr && problem.domain != nullptr);
     cp_.problem = &problem;
     cp_.net = problem.network;
@@ -171,6 +193,9 @@ class Compiler {
     build_cross_semantics();
     ground_placements();
     ground_crossings();
+    // A compiled problem is long-lived (the engine caches it and shares it
+    // across workers), so its action array sheds the slack of its growth.
+    cp_.actions.shrink_to_fit();
     build_initial_state();
     build_goal();
     build_achievers();
@@ -180,10 +205,14 @@ class Compiler {
  private:
   const CppProblem& prob_;
   const spec::LevelScenario& scen_;
+  const StopToken& stop_;
   CompiledProblem cp_;
 
   std::vector<SemanticsBundle> comp_sem_;   // by component index
   std::vector<SemanticsBundle> cross_sem_;  // by interface index
+
+  // Reused by every combo of ground().
+  std::vector<Interval> seed_, slots_, post_;
 
   // ----- interface indexing and level resolution ---------------------------
 
@@ -192,6 +221,15 @@ class Compiler {
       if (cp_.iface_names[i] == name) return i;
     }
     raise("compile: unknown interface " + name);
+  }
+
+  [[nodiscard]] ComponentId component_id(const std::string& name, const char* context) const {
+    for (std::size_t c = 0; c < prob_.domain->component_count(); ++c) {
+      if (prob_.domain->component_at(c).name == name) {
+        return ComponentId(static_cast<std::uint32_t>(c));
+      }
+    }
+    raise(std::string(context) + ": unknown component " + name);
   }
 
   void index_interfaces() {
@@ -232,13 +270,17 @@ class Compiler {
 
   // ----- semantics (slot) construction --------------------------------------
 
-  std::uint32_t slot_for(SemanticsBundle& b, const SlotDesc& desc, SlotRole role,
-                         LevelTag tag) {
+  /// The slot of `desc`, created on first use; `tag` is a stream
+  /// property's level tag.
+  static std::uint32_t slot_for(SemanticsBundle& b, const SlotDesc& desc,
+                                LevelTag tag = LevelTag::None) {
     for (std::uint32_t i = 0; i < b.descs.size(); ++i) {
       if (b.descs[i] == desc) return i;
     }
     b.descs.push_back(desc);
-    b.sem->roles.push_back(role);
+    b.sem->roles.push_back(desc.kind == SlotDesc::Kind::In    ? SlotRole::Input
+                           : desc.kind == SlotDesc::Kind::Out ? SlotRole::Output
+                                                              : SlotRole::Resource);
     b.sem->tags.push_back(tag);
     b.sem->slot_count = static_cast<std::uint32_t>(b.descs.size());
     return static_cast<std::uint32_t>(b.descs.size() - 1);
@@ -248,13 +290,43 @@ class Compiler {
     return prob_.domain->interface_at(iface).tag_of(prop);
   }
 
+  SemanticsBundle& new_bundle(std::vector<SemanticsBundle>& into) {
+    cp_.semantics.push_back(std::make_unique<CompiledSemantics>());
+    into.push_back({cp_.semantics.back().get(), {}});
+    return into.back();
+  }
+
+  /// Lowers a template's formulae onto slots through `resolve`.
+  static void lower(CompiledSemantics& sem, const std::vector<expr::ConditionAst>& conditions,
+                    const std::vector<expr::EffectAst>& effects, const expr::NodePtr& cost,
+                    const expr::SlotResolver& resolve) {
+    for (const expr::ConditionAst& cond : conditions) {
+      expr::CompiledCondition cc;
+      cc.lhs = expr::Program::compile(*cond.lhs, resolve);
+      cc.op = cond.op;
+      cc.rhs = expr::Program::compile(*cond.rhs, resolve);
+      cc.source = cond.str();
+      sem.conditions.push_back(std::move(cc));
+    }
+    for (const expr::EffectAst& eff : effects) {
+      expr::CompiledEffect ce;
+      ce.target = resolve(eff.target);
+      ce.op = eff.op;
+      ce.value = expr::Program::compile(*eff.value, resolve);
+      ce.source = eff.str();
+      sem.effects.push_back(std::move(ce));
+    }
+    if (cost) {
+      sem.cost = expr::Program::compile(*cost, resolve);
+      sem.has_cost = true;
+    }
+  }
+
   void build_component_semantics() {
     const spec::DomainSpec& dom = *prob_.domain;
     for (std::size_t c = 0; c < dom.component_count(); ++c) {
       const spec::ComponentSpec& cspec = dom.component_at(c);
-      cp_.semantics.push_back(std::make_unique<CompiledSemantics>());
-      SemanticsBundle bundle;
-      bundle.sem = cp_.semantics.back().get();
+      SemanticsBundle& bundle = new_bundle(comp_sem_);
 
       auto resolve = [&](const expr::RoleRef& ref) -> std::uint32_t {
         if (ref.primed) {
@@ -262,59 +334,28 @@ class Compiler {
                 ") are only meaningful in cross blocks");
         }
         if (ref.scope == "node") {
-          return slot_for(bundle, {SlotDesc::Kind::NodeRes, 0, cp_.names.intern(ref.prop)},
-                          SlotRole::Resource, LevelTag::None);
+          return slot_for(bundle, {SlotDesc::Kind::NodeRes, 0, cp_.names.intern(ref.prop)});
         }
         const std::uint32_t idx = iface_index(ref.scope);
         const bool is_input = std::find(cspec.inputs.begin(), cspec.inputs.end(), ref.scope) !=
                               cspec.inputs.end();
-        const SlotDesc::Kind kind =
-            is_input ? SlotDesc::Kind::InputProp : SlotDesc::Kind::OutputProp;
-        return slot_for(bundle, {kind, idx, cp_.names.intern(ref.prop)},
-                        is_input ? SlotRole::Input : SlotRole::Output,
+        return slot_for(bundle,
+                        {is_input ? SlotDesc::Kind::In : SlotDesc::Kind::Out, idx,
+                         cp_.names.intern(ref.prop)},
                         prop_tag(idx, ref.prop));
       };
 
       // Pre-create the leveled-property slots so level choices always have a
       // slot to constrain, even if no formula mentions them.
-      for (const std::string& in : cspec.inputs) {
-        const std::uint32_t idx = iface_index(in);
-        const IfaceLevelInfo& info = level_info(idx);
-        if (info.prop.valid()) {
-          slot_for(bundle, {SlotDesc::Kind::InputProp, idx, info.prop}, SlotRole::Input,
-                   info.tag);
+      for (const auto& [streams, kind] : {std::pair{&cspec.inputs, SlotDesc::Kind::In},
+                                          std::pair{&cspec.outputs, SlotDesc::Kind::Out}}) {
+        for (const std::string& name : *streams) {
+          const std::uint32_t idx = iface_index(name);
+          const IfaceLevelInfo& info = level_info(idx);
+          if (info.prop.valid()) slot_for(bundle, {kind, idx, info.prop}, info.tag);
         }
       }
-      for (const std::string& out : cspec.outputs) {
-        const std::uint32_t idx = iface_index(out);
-        const IfaceLevelInfo& info = level_info(idx);
-        if (info.prop.valid()) {
-          slot_for(bundle, {SlotDesc::Kind::OutputProp, idx, info.prop}, SlotRole::Output,
-                   info.tag);
-        }
-      }
-
-      for (const expr::ConditionAst& cond : cspec.conditions) {
-        expr::CompiledCondition cc;
-        cc.lhs = expr::Program::compile(*cond.lhs, resolve);
-        cc.op = cond.op;
-        cc.rhs = expr::Program::compile(*cond.rhs, resolve);
-        cc.source = cond.str();
-        bundle.sem->conditions.push_back(std::move(cc));
-      }
-      for (const expr::EffectAst& eff : cspec.effects) {
-        expr::CompiledEffect ce;
-        ce.target = resolve(eff.target);
-        ce.op = eff.op;
-        ce.value = expr::Program::compile(*eff.value, resolve);
-        ce.source = eff.str();
-        bundle.sem->effects.push_back(std::move(ce));
-      }
-      if (cspec.cost) {
-        bundle.sem->cost = expr::Program::compile(*cspec.cost, resolve);
-        bundle.sem->has_cost = true;
-      }
-      comp_sem_.push_back(std::move(bundle));
+      lower(*bundle.sem, cspec.conditions, cspec.effects, cspec.cost, resolve);
     }
   }
 
@@ -322,17 +363,14 @@ class Compiler {
     const spec::DomainSpec& dom = *prob_.domain;
     for (std::size_t i = 0; i < dom.interface_count(); ++i) {
       const spec::InterfaceSpec& ispec = dom.interface_at(i);
-      cp_.semantics.push_back(std::make_unique<CompiledSemantics>());
-      SemanticsBundle bundle;
-      bundle.sem = cp_.semantics.back().get();
+      SemanticsBundle& bundle = new_bundle(cross_sem_);
       const std::uint32_t idx = static_cast<std::uint32_t>(i);
 
       auto resolve = [&](const expr::RoleRef& ref) -> std::uint32_t {
         if (ref.scope == "link") {
           // `link.lbw` and `link.lbw'` denote the same pool; effects update
           // it in place (Fig. 6's tick notation).
-          return slot_for(bundle, {SlotDesc::Kind::LinkRes, 0, cp_.names.intern(ref.prop)},
-                          SlotRole::Resource, LevelTag::None);
+          return slot_for(bundle, {SlotDesc::Kind::LinkRes, 0, cp_.names.intern(ref.prop)});
         }
         if (ref.scope == "node") {
           raise("interface " + ispec.name + ": node resources are not visible to cross actions");
@@ -341,51 +379,34 @@ class Compiler {
           raise("interface " + ispec.name + ": cross formulae may only reference " + ispec.name +
                 ".* and link.*, got " + ref.str());
         }
-        const SlotDesc::Kind kind =
-            ref.primed ? SlotDesc::Kind::CrossPost : SlotDesc::Kind::CrossPre;
-        return slot_for(bundle, {kind, idx, cp_.names.intern(ref.prop)},
-                        ref.primed ? SlotRole::Output : SlotRole::Input,
+        return slot_for(bundle,
+                        {ref.primed ? SlotDesc::Kind::Out : SlotDesc::Kind::In, idx,
+                         cp_.names.intern(ref.prop)},
                         prop_tag(idx, ref.prop));
       };
 
       // Pre-create pre/post slots for every property so transported values
       // always have somewhere to live.
       for (const spec::PropertySpec& p : ispec.properties) {
-        slot_for(bundle, {SlotDesc::Kind::CrossPre, idx, cp_.names.intern(p.name)},
-                 SlotRole::Input, p.tag);
-        slot_for(bundle, {SlotDesc::Kind::CrossPost, idx, cp_.names.intern(p.name)},
-                 SlotRole::Output, p.tag);
+        slot_for(bundle, {SlotDesc::Kind::In, idx, cp_.names.intern(p.name)}, p.tag);
+        slot_for(bundle, {SlotDesc::Kind::Out, idx, cp_.names.intern(p.name)}, p.tag);
       }
+      lower(*bundle.sem, ispec.cross_conditions, ispec.cross_effects, ispec.cross_cost,
+            resolve);
 
-      for (const expr::ConditionAst& cond : ispec.cross_conditions) {
-        expr::CompiledCondition cc;
-        cc.lhs = expr::Program::compile(*cond.lhs, resolve);
-        cc.op = cond.op;
-        cc.rhs = expr::Program::compile(*cond.rhs, resolve);
-        cc.source = cond.str();
-        bundle.sem->conditions.push_back(std::move(cc));
-      }
-      std::vector<bool> has_post_effect(ispec.properties.size(), false);
-      for (const expr::EffectAst& eff : ispec.cross_effects) {
-        expr::CompiledEffect ce;
-        ce.target = resolve(eff.target);
-        ce.op = eff.op;
-        ce.value = expr::Program::compile(*eff.value, resolve);
-        ce.source = eff.str();
-        if (eff.target.primed && eff.target.scope == ispec.name) {
-          for (std::size_t pi = 0; pi < ispec.properties.size(); ++pi) {
-            if (ispec.properties[pi].name == eff.target.prop) has_post_effect[pi] = true;
-          }
-        }
-        bundle.sem->effects.push_back(std::move(ce));
-      }
       // Properties without an explicit transport rule cross unchanged
-      // (identity effect P.x' := P.x).
-      for (std::size_t pi = 0; pi < ispec.properties.size(); ++pi) {
-        if (has_post_effect[pi]) continue;
-        const std::string& pname = ispec.properties[pi].name;
-        expr::RoleRef pre{ispec.name, pname, false};
-        expr::RoleRef post{ispec.name, pname, true};
+      // (identity effect P.x' := P.x).  Their slots exist already, so these
+      // effects add none.
+      for (const spec::PropertySpec& p : ispec.properties) {
+        const bool transported =
+            std::any_of(ispec.cross_effects.begin(), ispec.cross_effects.end(),
+                        [&](const expr::EffectAst& eff) {
+                          return eff.target.primed && eff.target.scope == ispec.name &&
+                                 eff.target.prop == p.name;
+                        });
+        if (transported) continue;
+        expr::RoleRef pre{ispec.name, p.name, false};
+        expr::RoleRef post{ispec.name, p.name, true};
         expr::CompiledEffect ce;
         ce.target = resolve(post);
         ce.op = expr::AssignOp::Set;
@@ -393,24 +414,208 @@ class Compiler {
         ce.source = post.str() + " := " + pre.str() + " (implicit)";
         bundle.sem->effects.push_back(std::move(ce));
       }
-      if (ispec.cross_cost) {
-        bundle.sem->cost = expr::Program::compile(*ispec.cross_cost, resolve);
-        bundle.sem->has_cost = true;
-      }
-      cross_sem_.push_back(std::move(bundle));
     }
   }
 
   // ----- grounding -----------------------------------------------------------
 
-  /// Level set of a node/link resource under the scenario (nullptr = none).
-  [[nodiscard]] const LevelSet* node_res_levels(const std::string& res) const {
-    auto it = scen_.node_levels.find(res);
-    return it == scen_.node_levels.end() ? nullptr : &it->second;
+  /// The digit layout of `bundle` as a template of `kind` over the given
+  /// input and output streams.
+  [[nodiscard]] Template make_template(ActionKind kind, std::uint32_t spec_index,
+                                       const SemanticsBundle& bundle,
+                                       std::vector<std::uint32_t> inputs,
+                                       std::vector<std::uint32_t> outputs) const {
+    Template t;
+    t.kind = kind;
+    t.spec_index = spec_index;
+    t.bundle = &bundle;
+    t.inputs = std::move(inputs);
+    t.outputs = std::move(outputs);
+    const auto level_digits = [&](const std::vector<std::uint32_t>& streams,
+                                  SlotDesc::Kind slot_kind, std::vector<std::uint32_t>& slots) {
+      for (const std::uint32_t idx : streams) {
+        const IfaceLevelInfo& info = level_info(idx);
+        t.radices.push_back(info.levels.count());
+        slots.push_back(info.prop.valid() ? find_slot(bundle, {slot_kind, idx, info.prop})
+                                          : kNoSlot);
+      }
+    };
+    level_digits(t.inputs, SlotDesc::Kind::In, t.in_slots);
+    level_digits(t.outputs, SlotDesc::Kind::Out, t.out_slots);
+    const SlotDesc::Kind res_kind =
+        kind == ActionKind::Place ? SlotDesc::Kind::NodeRes : SlotDesc::Kind::LinkRes;
+    const auto& scenario_levels =
+        kind == ActionKind::Place ? scen_.node_levels : scen_.link_levels;
+    for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
+      if (bundle.descs[s].kind != res_kind) continue;
+      const auto it = scenario_levels.find(cp_.names.str(bundle.descs[s].prop));
+      if (it == scenario_levels.end()) continue;
+      t.leveled_res.emplace_back(s, &it->second);
+      t.radices.push_back(it->second.count());
+    }
+    return t;
   }
-  [[nodiscard]] const LevelSet* link_res_levels(const std::string& res) const {
-    auto it = scen_.link_levels.find(res);
-    return it == scen_.link_levels.end() ? nullptr : &it->second;
+
+  [[nodiscard]] static std::uint32_t find_slot(const SemanticsBundle& b, const SlotDesc& d) {
+    for (std::uint32_t i = 0; i < b.descs.size(); ++i) {
+      if (b.descs[i] == d) return i;
+    }
+    raise("compile: internal slot lookup failure");
+  }
+
+  void ground_placements() {
+    const spec::DomainSpec& dom = *prob_.domain;
+    for (std::size_t c = 0; c < dom.component_count(); ++c) {
+      const spec::ComponentSpec& cspec = dom.component_at(c);
+      std::vector<std::uint32_t> inputs, outputs;
+      for (const std::string& in : cspec.inputs) inputs.push_back(iface_index(in));
+      for (const std::string& out : cspec.outputs) outputs.push_back(iface_index(out));
+      const Template t = make_template(ActionKind::Place, static_cast<std::uint32_t>(c),
+                                       comp_sem_[c], std::move(inputs), std::move(outputs));
+      for (NodeId n : prob_.network->node_ids()) {
+        if (prob_.placeable_at(cspec.name, n)) ground(t, {n, n, LinkId{}});
+      }
+    }
+  }
+
+  void ground_crossings() {
+    for (std::uint32_t i = 0; i < cross_sem_.size(); ++i) {
+      const Template t = make_template(ActionKind::Cross, i, cross_sem_[i], {i}, {i});
+      for (LinkId l : prob_.network->link_ids()) {
+        const net::Link& link = prob_.network->link(l);
+        ground(t, {link.a, link.b, l});
+        ground(t, {link.b, link.a, l});
+      }
+    }
+  }
+
+  /// Instantiates `t` at `site` once per level combination, in odometer
+  /// order, and keeps the combos whose conditions can hold over the
+  /// optimistic intervals and whose effects reach the chosen output levels.
+  void ground(const Template& t, const Site& site) {
+    const SemanticsBundle& bundle = *t.bundle;
+    const CompiledSemantics& sem = *bundle.sem;
+    const std::size_t n_in = t.inputs.size();
+    const std::size_t n_out = t.outputs.size();
+
+    // Resources start optimistic: [0, capacity] at this site.
+    seed_.assign(sem.slot_count, Interval::nonneg());
+    for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
+      const SlotDesc& desc = bundle.descs[s];
+      if (desc.kind == SlotDesc::Kind::NodeRes) {
+        seed_[s] = {0.0, prob_.network->node(site.in_node).resource(cp_.names.str(desc.prop))};
+      } else if (desc.kind == SlotDesc::Kind::LinkRes) {
+        seed_[s] = {0.0, prob_.network->link(site.link).resource(cp_.names.str(desc.prop))};
+      }
+    }
+    // Located variables, bound at the site's first viable combo so that
+    // VarIds are handed out in emission order.
+    std::vector<VarId> slot_vars;
+    bool bound = false;
+
+    for (Odometer od(t.radices); !od.done(); od.advance()) {
+      if ((++cp_.combos_considered & 1023) == 0 && stop_.stop_requested()) {
+        raise(std::string(kCompileStopped) + ' ' + stop_reason_name(stop_.reason()));
+      }
+      const std::vector<std::uint32_t>& d = od.digits();
+      slots_ = seed_;
+      for (std::size_t i = 0; i < n_in; ++i) {
+        if (t.in_slots[i] != kNoSlot) {
+          slots_[t.in_slots[i]] = level_info(t.inputs[i]).levels.interval(d[i]);
+        }
+      }
+      bool viable = true;
+      std::size_t di = n_in + n_out;
+      for (const auto& [s, ls] : t.leveled_res) {
+        slots_[s] = intersect(slots_[s], ls->interval(d[di++]));
+        viable = viable && !slots_[s].is_empty();
+      }
+      // Leveling-time pruning: conditions must be satisfiable over the
+      // optimistic intervals...
+      viable = viable && std::all_of(sem.conditions.begin(), sem.conditions.end(),
+                                     [&](const expr::CompiledCondition& cond) {
+                                       return cond.satisfiable(slots_);
+                                     });
+      if (!viable) continue;
+      post_ = slots_;
+      for (const expr::CompiledEffect& eff : sem.effects) eff.apply_interval(post_);
+      // ...and the effects must reach every chosen output level.
+      for (std::size_t i = 0; i < n_out && viable; ++i) {
+        const std::uint32_t s = t.out_slots[i];
+        const std::uint32_t lvl = d[n_in + i];
+        viable = s == kNoSlot ? lvl == 0  // single trivial level
+                              : spec::level_matches(out_level(t, i, lvl), post_[s],
+                                                    /*strict_floor=*/true);
+      }
+      if (!viable) continue;
+
+      if (!bound) {
+        slot_vars = bind(bundle, site);
+        bound = true;
+      }
+      GroundAction act;
+      act.kind = t.kind;
+      act.spec_index = t.spec_index;
+      act.node = site.in_node;
+      if (t.kind == ActionKind::Cross) {
+        act.node2 = site.out_node;
+        act.link = site.link;
+      }
+      act.sem = &sem;
+      act.in_levels.assign(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(n_in));
+      act.out_levels.assign(d.begin() + static_cast<std::ptrdiff_t>(n_in),
+                            d.begin() + static_cast<std::ptrdiff_t>(n_in + n_out));
+      act.slot_vars = slot_vars;
+      act.slot_opt = slots_;
+      // Output slots assert their chosen level interval.
+      for (std::size_t i = 0; i < n_out; ++i) {
+        if (t.out_slots[i] == kNoSlot) continue;
+        act.slot_opt[t.out_slots[i]] = out_level(t, i, act.out_levels[i]);
+      }
+
+      for (std::size_t i = 0; i < n_in; ++i) {
+        sorted_insert(act.pre, cp_.props.avail(InterfaceId(t.inputs[i]), site.in_node,
+                                               act.in_levels[i]));
+      }
+      if (t.kind == ActionKind::Place) {
+        sorted_insert(act.eff, cp_.props.placed(ComponentId(t.spec_index), site.in_node));
+      }
+      for (std::size_t i = 0; i < n_out; ++i) {
+        sorted_insert(act.eff, cp_.props.avail(InterfaceId(t.outputs[i]), site.out_node,
+                                               act.out_levels[i]));
+      }
+
+      eval_cost(sem, post_, act);
+      cp_.actions.push_back(std::move(act));
+    }
+  }
+
+  /// The level interval of output `i` of `t` at level `lvl`.
+  [[nodiscard]] Interval out_level(const Template& t, std::size_t i, std::uint32_t lvl) const {
+    return level_info(t.outputs[i]).levels.interval(lvl);
+  }
+
+  /// The located variable of each slot at `site`.
+  [[nodiscard]] std::vector<VarId> bind(const SemanticsBundle& bundle, const Site& site) {
+    std::vector<VarId> vars;
+    vars.reserve(bundle.descs.size());
+    for (const SlotDesc& desc : bundle.descs) {
+      switch (desc.kind) {
+        case SlotDesc::Kind::In:
+        case SlotDesc::Kind::Out: {
+          const NodeId at = desc.kind == SlotDesc::Kind::In ? site.in_node : site.out_node;
+          vars.push_back(cp_.vars.iface_prop(InterfaceId(desc.iface), at, desc.prop));
+          break;
+        }
+        case SlotDesc::Kind::NodeRes:
+          vars.push_back(cp_.vars.node_res(site.in_node, desc.prop));
+          break;
+        case SlotDesc::Kind::LinkRes:
+          vars.push_back(cp_.vars.link_res(site.link, desc.prop));
+          break;
+      }
+    }
+    return vars;
   }
 
   /// Evaluates cost over post-effect slot intervals; clamps the lower bound
@@ -426,308 +631,25 @@ class Compiler {
     act.cost_ub = std::max(c.hi, act.cost_lb);
   }
 
-  void ground_placements() {
-    const spec::DomainSpec& dom = *prob_.domain;
-    for (std::size_t c = 0; c < dom.component_count(); ++c) {
-      const spec::ComponentSpec& cspec = dom.component_at(c);
-      SemanticsBundle& bundle = comp_sem_[c];
-      const CompiledSemantics& sem = *bundle.sem;
-
-      for (NodeId n : prob_.network->node_ids()) {
-        if (!prob_.placeable_at(cspec.name, n)) continue;
-        ground_placement_at(static_cast<std::uint32_t>(c), cspec, bundle, sem, n);
-      }
-    }
-  }
-
-  void ground_placement_at(std::uint32_t comp_idx, const spec::ComponentSpec& cspec,
-                           SemanticsBundle& bundle, const CompiledSemantics& sem, NodeId n) {
-    // Digits: one per input interface (its level), one per output interface,
-    // one per node-resource slot that the scenario levels.
-    std::vector<std::uint32_t> radices;
-    std::vector<std::uint32_t> input_iface_idx;
-    for (const std::string& in : cspec.inputs) {
-      const std::uint32_t idx = iface_index(in);
-      input_iface_idx.push_back(idx);
-      radices.push_back(level_info(idx).levels.count());
-    }
-    std::vector<std::uint32_t> output_iface_idx;
-    for (const std::string& out : cspec.outputs) {
-      const std::uint32_t idx = iface_index(out);
-      output_iface_idx.push_back(idx);
-      radices.push_back(level_info(idx).levels.count());
-    }
-    std::vector<std::pair<std::uint32_t, const LevelSet*>> leveled_res_slots;
-    for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
-      if (bundle.descs[s].kind == SlotDesc::Kind::NodeRes) {
-        if (const LevelSet* ls = node_res_levels(cp_.names.str(bundle.descs[s].prop))) {
-          leveled_res_slots.emplace_back(s, ls);
-          radices.push_back(ls->count());
-        }
-      }
-    }
-
-    for (Odometer od(radices); !od.done(); od.advance()) {
-      ++cp_.combos_considered;
-      const auto& d = od.digits();
-      std::size_t di = 0;
-
-      std::vector<Interval> slots(sem.slot_count, Interval::nonneg());
-      // Node resources: optimistic availability [0, capacity].
-      for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
-        if (bundle.descs[s].kind == SlotDesc::Kind::NodeRes) {
-          const double cap = prob_.network->node(n).resource(cp_.names.str(bundle.descs[s].prop));
-          slots[s] = {0.0, cap};
-        }
-      }
-
-      std::vector<std::uint32_t> in_levels, out_levels;
-      bool viable = true;
-
-      // Input stream levels.
-      for (std::size_t i = 0; i < input_iface_idx.size(); ++i, ++di) {
-        const std::uint32_t lvl = d[di];
-        in_levels.push_back(lvl);
-        const IfaceLevelInfo& info = level_info(input_iface_idx[i]);
-        if (!info.prop.valid()) continue;
-        const std::uint32_t s =
-            find_slot(bundle, {SlotDesc::Kind::InputProp, input_iface_idx[i], info.prop});
-        slots[s] = info.levels.interval(lvl);
-      }
-      // Output levels noted; validated post-effects.
-      std::vector<std::uint32_t> out_digit;
-      for (std::size_t i = 0; i < output_iface_idx.size(); ++i, ++di) {
-        out_digit.push_back(d[di]);
-      }
-      // Leveled node resources.
-      for (auto& [s, ls] : leveled_res_slots) {
-        slots[s] = intersect(slots[s], ls->interval(d[di++]));
-        if (slots[s].is_empty()) viable = false;
-      }
-      if (!viable) {
-        ++cp_.combos_pruned;
-        continue;
-      }
-
-      // Leveling-time pruning: conditions must be satisfiable over the
-      // optimistic intervals.
-      for (const expr::CompiledCondition& cond : sem.conditions) {
-        if (!cond.satisfiable(slots)) {
-          viable = false;
-          break;
-        }
-      }
-      if (!viable) {
-        ++cp_.combos_pruned;
-        continue;
-      }
-
-      std::vector<Interval> post = slots;
-      for (const expr::CompiledEffect& eff : sem.effects) eff.apply_interval(post);
-
-      // Output levels must be reachable by the computed effects.
-      for (std::size_t i = 0; i < output_iface_idx.size(); ++i) {
-        const IfaceLevelInfo& info = level_info(output_iface_idx[i]);
-        out_levels.push_back(out_digit[i]);
-        if (!info.prop.valid()) {
-          if (out_digit[i] != 0) viable = false;  // single trivial level
-          continue;
-        }
-        const std::uint32_t s =
-            find_slot(bundle, {SlotDesc::Kind::OutputProp, output_iface_idx[i], info.prop});
-        if (!spec::level_matches(info.levels.interval(out_digit[i]), post[s],
-                                 /*strict_floor=*/true)) {
-          viable = false;
-        }
-      }
-      if (!viable) {
-        ++cp_.combos_pruned;
-        continue;
-      }
-
-      GroundAction act;
-      act.kind = ActionKind::Place;
-      act.spec_index = comp_idx;
-      act.node = n;
-      act.sem = &sem;
-      act.in_levels = std::move(in_levels);
-      act.out_levels = std::move(out_levels);
-
-      // Bind slots to located variables and record optimistic intervals.
-      act.slot_vars.resize(bundle.descs.size());
-      act.slot_opt.resize(bundle.descs.size());
-      for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
-        const SlotDesc& desc = bundle.descs[s];
-        switch (desc.kind) {
-          case SlotDesc::Kind::InputProp:
-          case SlotDesc::Kind::OutputProp:
-            act.slot_vars[s] = cp_.vars.iface_prop(InterfaceId(desc.iface), n, desc.prop);
-            break;
-          case SlotDesc::Kind::NodeRes:
-            act.slot_vars[s] = cp_.vars.node_res(n, desc.prop);
-            break;
-          default:
-            SEKITEI_ASSERT(false);
-        }
-        act.slot_opt[s] = slots[s];
-      }
-      // Output slots assert their chosen level interval.
-      for (std::size_t i = 0; i < output_iface_idx.size(); ++i) {
-        const IfaceLevelInfo& info = level_info(output_iface_idx[i]);
-        if (!info.prop.valid()) continue;
-        const std::uint32_t s =
-            find_slot(bundle, {SlotDesc::Kind::OutputProp, output_iface_idx[i], info.prop});
-        act.slot_opt[s] = info.levels.interval(act.out_levels[i]);
-      }
-
-      // Logical preconditions and effects.
-      for (std::size_t i = 0; i < input_iface_idx.size(); ++i) {
-        sorted_insert(act.pre, cp_.props.avail(InterfaceId(input_iface_idx[i]), n,
-                                               act.in_levels[i]));
-      }
-      sorted_insert(act.eff, cp_.props.placed(ComponentId(comp_idx), n));
-      for (std::size_t i = 0; i < output_iface_idx.size(); ++i) {
-        sorted_insert(act.eff, cp_.props.avail(InterfaceId(output_iface_idx[i]), n,
-                                               act.out_levels[i]));
-      }
-
-      eval_cost(sem, post, act);
-      cp_.actions.push_back(std::move(act));
-    }
-  }
-
-  void ground_crossings() {
-    const spec::DomainSpec& dom = *prob_.domain;
-    for (std::size_t i = 0; i < dom.interface_count(); ++i) {
-      SemanticsBundle& bundle = cross_sem_[i];
-      for (LinkId l : prob_.network->link_ids()) {
-        const net::Link& link = prob_.network->link(l);
-        ground_cross_over(static_cast<std::uint32_t>(i), bundle, l, link.a, link.b);
-        ground_cross_over(static_cast<std::uint32_t>(i), bundle, l, link.b, link.a);
-      }
-    }
-  }
-
-  void ground_cross_over(std::uint32_t iface_idx, SemanticsBundle& bundle, LinkId l, NodeId u,
-                         NodeId v) {
-    const CompiledSemantics& sem = *bundle.sem;
-    const IfaceLevelInfo& info = level_info(iface_idx);
-    const net::Link& link = prob_.network->link(l);
-
-    std::vector<std::uint32_t> radices{info.levels.count(), info.levels.count()};
-    std::vector<std::pair<std::uint32_t, const LevelSet*>> leveled_res_slots;
-    for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
-      if (bundle.descs[s].kind == SlotDesc::Kind::LinkRes) {
-        if (const LevelSet* ls = link_res_levels(cp_.names.str(bundle.descs[s].prop))) {
-          leveled_res_slots.emplace_back(s, ls);
-          radices.push_back(ls->count());
-        }
-      }
-    }
-
-    for (Odometer od(radices); !od.done(); od.advance()) {
-      ++cp_.combos_considered;
-      const auto& d = od.digits();
-      const std::uint32_t in_lvl = d[0];
-      const std::uint32_t out_lvl = d[1];
-
-      std::vector<Interval> slots(sem.slot_count, Interval::nonneg());
-      for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
-        if (bundle.descs[s].kind == SlotDesc::Kind::LinkRes) {
-          const double cap = link.resource(cp_.names.str(bundle.descs[s].prop));
-          slots[s] = {0.0, cap};
-        }
-      }
-      bool viable = true;
-      std::size_t di = 2;
-      for (auto& [s, ls] : leveled_res_slots) {
-        slots[s] = intersect(slots[s], ls->interval(d[di++]));
-        if (slots[s].is_empty()) viable = false;
-      }
-      if (viable && info.prop.valid()) {
-        const std::uint32_t s =
-            find_slot(bundle, {SlotDesc::Kind::CrossPre, iface_idx, info.prop});
-        slots[s] = info.levels.interval(in_lvl);
-      }
-      if (viable) {
-        for (const expr::CompiledCondition& cond : sem.conditions) {
-          if (!cond.satisfiable(slots)) {
-            viable = false;
-            break;
-          }
-        }
-      }
-      std::vector<Interval> post;
-      if (viable) {
-        post = slots;
-        for (const expr::CompiledEffect& eff : sem.effects) eff.apply_interval(post);
-        if (info.prop.valid()) {
-          const std::uint32_t s =
-              find_slot(bundle, {SlotDesc::Kind::CrossPost, iface_idx, info.prop});
-          if (!spec::level_matches(info.levels.interval(out_lvl), post[s],
-                                   /*strict_floor=*/true)) {
-            viable = false;
-          }
-        } else if (out_lvl != 0) {
-          viable = false;
-        }
-      }
-      if (!viable) {
-        ++cp_.combos_pruned;
-        continue;
-      }
-
-      GroundAction act;
-      act.kind = ActionKind::Cross;
-      act.spec_index = iface_idx;
-      act.node = u;
-      act.node2 = v;
-      act.link = l;
-      act.sem = &sem;
-      act.in_levels = {in_lvl};
-      act.out_levels = {out_lvl};
-
-      act.slot_vars.resize(bundle.descs.size());
-      act.slot_opt.resize(bundle.descs.size());
-      for (std::uint32_t s = 0; s < bundle.descs.size(); ++s) {
-        const SlotDesc& desc = bundle.descs[s];
-        switch (desc.kind) {
-          case SlotDesc::Kind::CrossPre:
-            act.slot_vars[s] = cp_.vars.iface_prop(InterfaceId(desc.iface), u, desc.prop);
-            break;
-          case SlotDesc::Kind::CrossPost:
-            act.slot_vars[s] = cp_.vars.iface_prop(InterfaceId(desc.iface), v, desc.prop);
-            break;
-          case SlotDesc::Kind::LinkRes:
-            act.slot_vars[s] = cp_.vars.link_res(l, desc.prop);
-            break;
-          default:
-            SEKITEI_ASSERT(false);
-        }
-        act.slot_opt[s] = slots[s];
-      }
-      if (info.prop.valid()) {
-        const std::uint32_t s =
-            find_slot(bundle, {SlotDesc::Kind::CrossPost, iface_idx, info.prop});
-        act.slot_opt[s] = info.levels.interval(out_lvl);
-      }
-
-      sorted_insert(act.pre, cp_.props.avail(InterfaceId(iface_idx), u, in_lvl));
-      sorted_insert(act.eff, cp_.props.avail(InterfaceId(iface_idx), v, out_lvl));
-
-      eval_cost(sem, post, act);
-      cp_.actions.push_back(std::move(act));
-    }
-  }
-
-  [[nodiscard]] static std::uint32_t find_slot(const SemanticsBundle& b, const SlotDesc& d) {
-    for (std::uint32_t i = 0; i < b.descs.size(); ++i) {
-      if (b.descs[i] == d) return i;
-    }
-    raise("compile: internal slot lookup failure");
-  }
-
   // ----- initial state, goal, achievers --------------------------------------
+
+  /// Calls `f` with every proposition a stream available as `key` also
+  /// supports through level closure: a degradable stream at level k serves
+  /// every level below k, an upgradable one every level above.
+  /// `key` is a copy: interning the closure props may grow the registry.
+  template <class F>
+  void for_each_closure_prop(const PropKey key, F f) {
+    if (key.kind != PropKind::Avail) return;
+    const IfaceLevelInfo& info = level_info(key.entity);
+    const auto at = [&](std::uint32_t j) {
+      return cp_.props.avail(InterfaceId(key.entity), NodeId(key.node), j);
+    };
+    if (info.tag == LevelTag::Degradable) {
+      for (std::uint32_t j = 0; j < key.level; ++j) f(at(j));
+    } else if (info.tag == LevelTag::Upgradable) {
+      for (std::uint32_t j = key.level + 1; j < info.levels.count(); ++j) f(at(j));
+    }
+  }
 
   void build_initial_state() {
     // All node and link resource capacities enter the initial map as points.
@@ -776,33 +698,16 @@ class Compiler {
     }
 
     for (const auto& [comp, node] : prob_.preplaced) {
-      const spec::ComponentSpec* cspec = prob_.domain->find_component(comp);
-      if (cspec == nullptr) raise("preplaced: unknown component " + comp);
-      std::uint32_t comp_idx = 0;
-      for (std::size_t c = 0; c < prob_.domain->component_count(); ++c) {
-        if (prob_.domain->component_at(c).name == comp) {
-          comp_idx = static_cast<std::uint32_t>(c);
-        }
-      }
-      sorted_insert(cp_.init_props, cp_.props.placed(ComponentId(comp_idx), node));
+      sorted_insert(cp_.init_props, cp_.props.placed(component_id(comp, "preplaced"), node));
     }
   }
 
   void build_goal() {
-    auto placed_prop = [&](const std::string& comp, NodeId node) {
-      std::uint32_t comp_idx = UINT32_MAX;
-      for (std::size_t c = 0; c < prob_.domain->component_count(); ++c) {
-        if (prob_.domain->component_at(c).name == comp) {
-          comp_idx = static_cast<std::uint32_t>(c);
-        }
-      }
-      if (comp_idx == UINT32_MAX) raise("goal: unknown component " + comp);
-      return cp_.props.placed(ComponentId(comp_idx), node);
-    };
-    cp_.goal_prop = placed_prop(prob_.goal_component, prob_.goal_node);
+    cp_.goal_prop =
+        cp_.props.placed(component_id(prob_.goal_component, "goal"), prob_.goal_node);
     sorted_insert(cp_.goal_props, cp_.goal_prop);
     for (const auto& [comp, node] : prob_.extra_goals) {
-      sorted_insert(cp_.goal_props, placed_prop(comp, node));
+      sorted_insert(cp_.goal_props, cp_.props.placed(component_id(comp, "goal"), node));
     }
   }
 
@@ -820,38 +725,14 @@ class Compiler {
       // Copy effects: registering closure props may grow the registry.
       const std::vector<PropId> effs = cp_.actions[ai].eff;
       for (PropId e : effs) {
-        const PropKey key = cp_.props.key(e);
         register_achiever(e, aid);
-        if (key.kind != PropKind::Avail) continue;
-        const IfaceLevelInfo& info = level_info(key.entity);
-        if (info.tag == LevelTag::Degradable) {
-          for (std::uint32_t j = 0; j < key.level; ++j) {
-            register_achiever(cp_.props.avail(InterfaceId(key.entity), NodeId(key.node), j),
-                              aid);
-          }
-        } else if (info.tag == LevelTag::Upgradable) {
-          for (std::uint32_t j = key.level + 1; j < info.levels.count(); ++j) {
-            register_achiever(cp_.props.avail(InterfaceId(key.entity), NodeId(key.node), j),
-                              aid);
-          }
-        }
+        for_each_closure_prop(cp_.props.key(e), [&](PropId p) { register_achiever(p, aid); });
       }
     }
     // Closure on the initial state as well.
     std::vector<PropId> extra;
     for (PropId p : cp_.init_props) {
-      const PropKey key = cp_.props.key(p);
-      if (key.kind != PropKind::Avail) continue;
-      const IfaceLevelInfo& info = level_info(key.entity);
-      if (info.tag == LevelTag::Degradable) {
-        for (std::uint32_t j = 0; j < key.level; ++j) {
-          extra.push_back(cp_.props.avail(InterfaceId(key.entity), NodeId(key.node), j));
-        }
-      } else if (info.tag == LevelTag::Upgradable) {
-        for (std::uint32_t j = key.level + 1; j < info.levels.count(); ++j) {
-          extra.push_back(cp_.props.avail(InterfaceId(key.entity), NodeId(key.node), j));
-        }
-      }
+      for_each_closure_prop(cp_.props.key(p), [&](PropId q) { extra.push_back(q); });
     }
     for (PropId p : extra) sorted_insert(cp_.init_props, p);
     cp_.achievers.resize(cp_.props.size());
@@ -863,8 +744,9 @@ class Compiler {
 
 }  // namespace
 
-CompiledProblem compile(const CppProblem& problem, const spec::LevelScenario& scenario) {
-  Compiler c(problem, scenario);
+CompiledProblem compile(const CppProblem& problem, const spec::LevelScenario& scenario,
+                        const StopToken& stop) {
+  Compiler c(problem, scenario, stop);
   return c.run();
 }
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/action.hpp"
@@ -21,6 +22,7 @@
 #include "model/vars.hpp"
 #include "spec/levels.hpp"
 #include "support/interner.hpp"
+#include "support/stop_token.hpp"
 
 namespace sekitei::model {
 
@@ -65,9 +67,9 @@ class CompiledProblem {
   /// The primary goal (first of goal_props), kept for single-goal callers.
   PropId goal_prop;
 
-  /// Leveling statistics (Table 2, column 5 reports `actions.size()`).
+  /// Leveling statistics (Table 2, column 5 reports `actions.size()`).  Every
+  /// level combination considered is either emitted as an action or pruned.
   std::uint64_t combos_considered = 0;
-  std::uint64_t combos_pruned = 0;
 
   /// Node symmetry partition, filled by analysis::attach_symmetry() (the
   /// compiler itself never computes it — layering keeps core below analysis).
@@ -122,9 +124,15 @@ class Commutation {
   std::vector<std::vector<VarId>> sorted_vars_;  // by ActionId
 };
 
+/// Prefix of the Error compile() raises when its stop token fires.
+inline constexpr std::string_view kCompileStopped = "compile-stopped:";
+
 /// Grounds and levels `problem` under `scenario`.  Raises on malformed input
-/// (unknown names, several leveled properties on one interface).
+/// (unknown names, several leveled properties on one interface), and raises
+/// a `compile-stopped:` Error when `stop` fires (polled every 1024 level
+/// combinations).
 [[nodiscard]] CompiledProblem compile(const CppProblem& problem,
-                                      const spec::LevelScenario& scenario);
+                                      const spec::LevelScenario& scenario,
+                                      const StopToken& stop = {});
 
 }  // namespace sekitei::model

@@ -33,7 +33,6 @@ namespace sekitei::service {
 struct CompiledEntry {
   std::shared_ptr<const model::LoadedProblem> source;
   model::CompiledProblem cp;
-  double compile_ms = 0.0;
 };
 
 class CompiledProblemCache {

@@ -7,6 +7,7 @@
 #include <exception>
 #include <fstream>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -291,7 +292,21 @@ PlanResponse PlanningEngine::process(PlanRequest& request, double wait_ms) {
     };
   }
 
-  PlanResponse r = process_inner(request, wait_ms);
+  PlanResponse r;
+  r.id = request.id;
+  r.wait_ms = wait_ms;
+  try {
+    process_inner(request, r);
+  } catch (const Error& e) {
+    // A compile the request's token stopped (the cached compile, the repair
+    // compile or the bare damaged one) answers like a stopped search; the
+    // cache never saw the entry.
+    if (!std::string_view(e.what()).starts_with(model::kCompileStopped)) throw;
+    r.outcome = request.stop.token().reason() == StopReason::Cancelled
+                    ? Outcome::Cancelled
+                    : Outcome::DeadlineExceeded;
+    r.failure = "stopped during compile";
+  }
   request.progress = inner_progress;  // drop the dangling recorder capture
   SEKITEI_LOG_INFO("service.engine", "request served", log::kv("id", r.id.c_str()),
                    log::kv("outcome", outcome_name(r.outcome)),
@@ -409,16 +424,13 @@ void run_ladder(const std::vector<Rung>& rungs, StopSource& stop, double primary
   }
 }
 
-PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms) {
+void PlanningEngine::process_inner(PlanRequest& request, PlanResponse& r) {
   trace::Span span("service.request", "service");
-  PlanResponse r;
-  r.id = request.id;
-  r.wait_ms = wait_ms;
 
   if (!request.problem) {
     r.outcome = Outcome::Rejected;
     r.failure = "request carries no problem";
-    return r;
+    return;
   }
   const StopToken token = request.stop.token();
   // Died in the queue (cancelled, or the deadline fired before any worker
@@ -427,15 +439,15 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
     r.outcome = token.reason() == StopReason::Cancelled ? Outcome::Cancelled
                                                         : Outcome::DeadlineExceeded;
     r.failure = "stopped before planning started";
-    return r;
+    return;
   }
 
   r.fingerprint = model::fingerprint(request.problem->problem, request.problem->scenario);
   auto [entry, hit] = cache_.get_or_compile(r.fingerprint, [&] {
     auto made = std::make_shared<CompiledEntry>();
-    trace::Span compile_span("service.compile", "service", &made->compile_ms);
+    trace::Span compile_span("service.compile", "service", &r.compile_ms);
     made->source = request.problem;
-    made->cp = model::compile(request.problem->problem, request.problem->scenario);
+    made->cp = model::compile(request.problem->problem, request.problem->scenario, token);
     // Attach the node symmetry partition before the entry is published to
     // the cache (it is immutable — and shared across workers — afterwards);
     // the searches prune interchangeable twins against it.
@@ -444,13 +456,12 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
     return made;
   });
   r.cache_hit = hit;
-  if (!hit) r.compile_ms = entry->compile_ms;
   const model::CompiledProblem& cp = entry->cp;
   r.symmetry_classes = cp.symmetric_class_count;
 
   if (request.repair) {
     process_repair(request, r, cp);
-    return r;
+    return;
   }
 
   // Pre-flight: a provably-infeasible instance is answered here, before a
@@ -460,7 +471,7 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
       !failure.empty()) {
     r.outcome = Outcome::Infeasible;
     r.failure = std::move(failure);
-    return r;
+    return;
   }
 
   // The plain rung list: the requested search, then — for Leveled requests
@@ -479,7 +490,6 @@ PlanResponse PlanningEngine::process_inner(PlanRequest& request, double wait_ms)
   }
   run_ladder(rungs, request.stop, request.degrade.primary_fraction, r);
   if (r.plan) adopt_plan(request, cp, r);
-  return r;
 }
 
 namespace {
@@ -559,7 +569,7 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   std::optional<model::CompiledProblem> bcp;
   const auto bare_compile = [&]() -> const model::CompiledProblem& {
     if (!bcp) {
-      bcp.emplace(model::compile(fresh, cp.scenario));
+      bcp.emplace(model::compile(fresh, cp.scenario, request.stop.token()));
       analysis::attach_symmetry(*bcp);
     }
     return *bcp;
@@ -613,7 +623,7 @@ void PlanningEngine::process_repair(PlanRequest& request, PlanResponse& r,
   const net::Network damaged =
       repair::damaged_copy(*cp.net, spec.damage, have_prior ? &survivors.residual : nullptr);
   const model::CppProblem rp = repair::repair_problem(*cp.problem, damaged, survivors);
-  model::CompiledProblem rcp = model::compile(rp, cp.scenario);
+  model::CompiledProblem rcp = model::compile(rp, cp.scenario, request.stop.token());
   repair::apply_adaptation_costs(rcp, survivors, spec.costs);
   // Discounted costs only vary at survivor nodes, which repair_problem()
   // pre-places (pinned singletons in the partition), so twin pruning on the

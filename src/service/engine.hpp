@@ -156,10 +156,10 @@ class PlanningEngine {
   /// Non-const request: run_ladder() re-arms the deadline on the request's
   /// own StopSource to split one budget across rungs.  The wrapper owns
   /// per-request observability (flight recorder, per-outcome / ladder
-  /// counters); process_inner() compiles, pre-flights and runs the plain
-  /// rung list.
+  /// counters) and answers a stopped compile; process_inner() compiles,
+  /// pre-flights and runs the plain rung list, filling `r` in place.
   [[nodiscard]] PlanResponse process(PlanRequest& request, double wait_ms);
-  [[nodiscard]] PlanResponse process_inner(PlanRequest& request, double wait_ms);
+  void process_inner(PlanRequest& request, PlanResponse& r);
   /// The repair path (PlanRequest::repair): survivors, the discounted repair
   /// compile, the repair rung list, and churn accounting for the shipped
   /// plan.  Fills `r` in place; `cp` is the cached compile of the request's

@@ -2,8 +2,10 @@
 // fingerprinting, determinism across worker counts, deadlines and
 // cancellation (with partial stats), admission control, and the engine's use
 // of the compiled-problem cache.
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +216,59 @@ TEST(PlannerStopTest, MidSearchStopReturnsPartialStats) {
   EXPECT_GT(r.stats.plrg_props, 0u);
   EXPECT_GT(r.stats.rg_expansions, 0u);
   EXPECT_LT(r.stats.rg_expansions, 64u);  // stopped early, not at exhaustion
+}
+
+namespace {
+
+/// Small with 80 evenly spaced M cutpoints (T/I/Z proportional): 6.7M level
+/// combinations and 128k actions, about a second of grounding in Release.
+std::shared_ptr<const model::LoadedProblem> cutpoint_bomb() {
+  std::vector<double> cuts;
+  for (int k = 1; k <= 80; ++k) cuts.push_back(2.5 * k);
+  auto inst = media::small();
+  return make_loaded(std::move(inst->domain), std::move(inst->net), std::move(inst->problem),
+                     media::scenario_with_cuts(std::move(cuts)));
+}
+
+}  // namespace
+
+TEST(ServiceTest, CompileHonoursTheDeadline) {
+  PlanningEngine engine({.workers = 1});
+  PlanRequest bomb;
+  bomb.id = "bomb";
+  bomb.problem = cutpoint_bomb();
+  bomb.deadline_ms = 100;
+  const auto t0 = std::chrono::steady_clock::now();
+  const PlanResponse r = engine.plan(std::move(bomb));
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(r.outcome, Outcome::DeadlineExceeded);
+  EXPECT_EQ(r.failure, "stopped during compile");
+  EXPECT_LT(ms, 600.0);
+  EXPECT_GT(r.compile_ms, 0.0);
+  // The stopped compile is not cached, and the worker serves the next
+  // request normally.
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  PlanRequest next;
+  next.problem = loaded_instance(media::small(), 'C');
+  EXPECT_EQ(engine.plan(std::move(next)).outcome, Outcome::Solved);
+  EXPECT_EQ(engine.cache_stats().entries, 1u);
+}
+
+TEST(ServiceTest, CancelDuringCompileYieldsCancelled) {
+  PlanningEngine engine({.workers = 1});
+  PlanRequest bomb;
+  bomb.problem = cutpoint_bomb();
+  PlanningEngine::Ticket ticket = engine.submit(std::move(bomb));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ticket.cancel();
+  const PlanResponse r = ticket.response.get();
+  EXPECT_EQ(r.outcome, Outcome::Cancelled);
+  // A worker that had not picked the job up yet answers before compiling.
+  EXPECT_TRUE(r.failure == "stopped during compile" ||
+              r.failure == "stopped before planning started")
+      << r.failure;
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
