@@ -66,6 +66,26 @@ wire::WireRequest plan_request(std::string id, const std::string& problem) {
   return req;
 }
 
+/// A plan request that keeps a worker busy: small.sk under the CP backend
+/// searches ~40 ms on a 4-vCPU VM (the leveled search ~11 ms, tiny.sk well
+/// under 1 ms), so a test that needs work still in flight has a wide margin
+/// over its own scheduling jitter.
+wire::WireRequest slow_request(std::string id, const std::string& problem) {
+  wire::WireRequest req = plan_request(std::move(id), problem);
+  req.mode = core::PlannerOptions::Mode::Cp;
+  return req;
+}
+
+/// Polls `done` every millisecond for at most `limit_ms`; true once it holds.
+template <typename Pred>
+bool wait_until(Pred done, double limit_ms) {
+  for (double waited = 0.0; !done(); waited += 1.0) {
+    if (waited >= limit_ms) return false;
+    sleep_ms(1.0);
+  }
+  return true;
+}
+
 TEST(Server, HealthzAndStatsAnswer) {
   Daemon daemon(test_options());
   daemon.start();
@@ -107,7 +127,7 @@ TEST(Server, PipelinedResponsesArriveOutOfOrder) {
   const std::string fast = slurp(data_file("tiny.sk"));
 
   FrameClient client(daemon.port());
-  ASSERT_TRUE(client.send(plan_request("slow", slow)));
+  ASSERT_TRUE(client.send(slow_request("slow", slow)));
   ASSERT_TRUE(client.send(plan_request("fast", fast)));
 
   std::string first, second;
@@ -242,7 +262,7 @@ TEST(Server, PerConnectionQuotaRejectsTheExcessRequest) {
   const std::string fast = slurp(data_file("tiny.sk"));
 
   FrameClient client(daemon.port());
-  ASSERT_TRUE(client.send(plan_request("first", slow)));
+  ASSERT_TRUE(client.send(slow_request("first", slow)));
   ASSERT_TRUE(client.send(plan_request("second", fast)));
 
   // The second frame is processed while the first still occupies the one
@@ -288,8 +308,8 @@ TEST(Server, DuplicateInFlightIdIsRejected) {
   const std::string slow = slurp(data_file("small.sk"));
 
   FrameClient client(daemon.port());
-  ASSERT_TRUE(client.send(plan_request("dup", slow)));
-  ASSERT_TRUE(client.send(plan_request("dup", slow)));
+  ASSERT_TRUE(client.send(slow_request("dup", slow)));
+  ASSERT_TRUE(client.send(slow_request("dup", slow)));
   std::string body;
   ASSERT_EQ(client.recv_frame(body, 5000.0), FrameClient::Recv::Frame);
   EXPECT_EQ(json_field(body, "outcome"), "rejected");
@@ -311,13 +331,14 @@ TEST(Server, SigtermDrainAnswersInFlightAndRejectsNew) {
   const std::string slow = slurp(data_file("small.sk"));
 
   FrameClient client(daemon.port());
-  // Four pipelined solves on two workers keep the session in-flight well
-  // past the moment the late request lands below.
-  constexpr int kInflight = 4;
+  // Eight pipelined slow solves on two workers keep the session in-flight
+  // for ~150 ms, well past the moment the late request lands below.
+  constexpr int kInflight = 8;
   for (int i = 0; i < kInflight; ++i) {
-    ASSERT_TRUE(client.send(plan_request("inflight" + std::to_string(i), slow)));
+    ASSERT_TRUE(client.send(slow_request("inflight" + std::to_string(i), slow)));
   }
-  sleep_ms(20.0);  // let them reach the engine
+  // Let them reach the engine: queued or running, none answered yet.
+  ASSERT_TRUE(wait_until([&] { return daemon.engine().pending() == std::size_t{kInflight}; }, 5000.0));
 
   std::raise(SIGTERM);
   ASSERT_EQ(signal_flag::fired(), SIGTERM);  // the netd main loop's trigger
@@ -325,7 +346,8 @@ TEST(Server, SigtermDrainAnswersInFlightAndRejectsNew) {
   // Drain from another thread (as the daemon main loop would) while the
   // client pushes one more request into the draining session.
   std::thread drainer([&] { EXPECT_TRUE(daemon.drain()); });
-  sleep_ms(10.0);  // drain() flips the flag synchronously at entry
+  // drain() flips the flag synchronously at entry.
+  EXPECT_TRUE(wait_until([&] { return daemon.draining(); }, 5000.0));
   EXPECT_TRUE(client.send(plan_request("late", slow)));
 
   // Collect every response until the drained daemon closes the session.
