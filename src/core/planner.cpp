@@ -119,7 +119,6 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
     result.stats.slrg_memo_hits = slrg.memo_hits();
     result.stats.slrg_memo_misses = slrg.memo_misses();
     result.stats.pruned_placements += slrg.symmetry_pruned();
-    result.stats.hit_search_limit = result.stats.hit_search_limit || slrg.hit_limit();
     result.failure = std::move(failure);
     SEKITEI_LOG_INFO("core.planner", result.ok() ? "plan found" : "no plan",
                      log::kv("mode", options_.mode == PlannerOptions::Mode::Greedy ? "greedy"
@@ -191,7 +190,9 @@ PlanResult Sekitei::plan(const std::function<bool(const Plan&)>& validate) {
     return finish({});
   }
   if (result.stats.stopped) return finish("stopped before the search completed");
-  return finish(result.stats.hit_search_limit || slrg.hit_limit()
+  // An SLRG query that runs out of budget still answers with an admissible
+  // bound, so only the RG's own budget makes the search incomplete.
+  return finish(result.stats.hit_search_limit
                     ? "search limit exhausted before finding a plan"
                     : "no resource-feasible plan exists under the given levels");
 }

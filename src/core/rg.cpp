@@ -12,14 +12,17 @@ namespace sekitei::core {
 Rg::Rg(const model::CompiledProblem& cp, Slrg& slrg, const Plrg& plrg, CostFn cost)
     : cp_(cp), slrg_(slrg), plrg_(plrg), cost_fn_(std::move(cost)), commute_(cp) {}
 
-std::vector<ActionId> Rg::tail_of(std::uint32_t idx) const {
-  std::vector<ActionId> steps;
-  std::uint32_t cur = idx;
-  while (pool_[cur].action.valid()) {
+void Rg::tail_of(std::uint32_t idx, std::vector<ActionId>& steps) const {
+  steps.clear();
+  for (std::uint32_t cur = idx; pool_[cur].action.valid(); cur = pool_[cur].parent) {
     steps.push_back(pool_[cur].action);
-    cur = pool_[cur].parent;
   }
-  return steps;  // deepest node's action first == execution order
+}
+
+double Rg::path_cost(std::span<const ActionId> tail) const {
+  double g = 0.0;
+  for (auto it = tail.rbegin(); it != tail.rend(); ++it) g += cost_fn_(cp_.representative(*it));
+  return g;
 }
 
 std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Options& options,
@@ -28,6 +31,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     double f;
     double g;
     std::uint32_t node;
+    bool refine;  // a split copy: goal-tested and split further, never expanded
     bool operator<(const Open& o) const {
       if (f != o.f) return f > o.f;  // min-heap on f
       if (g != o.g) return g < o.g;  // tie-break: prefer deeper (larger g)
@@ -35,19 +39,31 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     }
   };
   std::priority_queue<Open> open;
+  const auto push = [&](const Open& o) {
+    open.push(o);
+    if (open.size() > stats.rg_peak_open) stats.rg_peak_open = open.size();
+  };
   model::Replayer replayer(cp_);
   SetStore& store = slrg_.sets();
   pool_.clear();
+  // Branch on variant groups only under optimistic replay (see the header).
+  const bool grouped =
+      options.replay_mode == model::ReplayMode::Optimistic && !cp_.groups.empty();
+  const auto has_group_step = [&](const std::vector<ActionId>& steps) {
+    return grouped && std::any_of(steps.begin(), steps.end(),
+                                  [&](ActionId s) { return cp_.is_group_step(s); });
+  };
 
   const SetId root = store.intern(goal_set);
   pool_.push_back(Node{ActionId{}, 0, root});
-  open.push({slrg_.estimate(root), 0.0, 0});
+  open.push({slrg_.estimate(root), 0.0, 0, false});
   stats.rg_nodes = 1;
   stats.rg_peak_open = 1;
 
-  // Anytime incumbent: the cheapest goal-satisfying child seen so far that
-  // replays from the initial state and passes validation.  Only tracked when
-  // a stop can actually fire, so deadline-free searches stay byte-identical.
+  // Anytime incumbent: the cheapest goal-satisfying node seen so far whose
+  // all-ground tail replays from the initial state and passes validation.
+  // Only tracked when a stop can actually fire, so deadline-free searches
+  // stay byte-identical.
   const bool anytime = options.anytime && options.stop.stop_possible();
   struct Incumbent {
     bool have = false;
@@ -57,6 +73,62 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   // Best admissible f still open when the search is cut short (a lower bound
   // on the optimal cost, reported next to the incumbent's cost).
   double frontier_lb = kInf;
+
+  // A goal-satisfying node is a complete feasible plan even though A* has
+  // not proven it optimal yet (it stays in the open list until its f value
+  // surfaces).  Record the cheapest one that passes the resource gate, the
+  // initial-state replay and validation so a stop mid-proof can still
+  // answer with a plan.
+  const auto consider_incumbent = [&](std::uint32_t idx, double g) {
+    if (!anytime || (incumbent.have && g >= incumbent.g) ||
+        !sorted_subset(store.get(pool_[idx].state), cp_.init_props)) {
+      return;
+    }
+    tail_of(idx, probe_);
+    if (has_group_step(probe_)) return;
+    if (!replayer.replay(probe_, /*from_init=*/false, options.replay_mode) ||
+        !replayer.replay(probe_, /*from_init=*/true, options.replay_mode)) {
+      return;
+    }
+    if (validate) {
+      Plan candidate;
+      candidate.steps = probe_;
+      candidate.cost_lb = g;
+      trace::Span vspan("rg.validate_incumbent", "search");
+      if (!validate(candidate)) return;
+    }
+    incumbent = {true, idx, g};
+    ++stats.rg_incumbents;
+    stats.incumbent_cost = incumbent.g;
+    SEKITEI_LOG_DEBUG("core.rg", "incumbent recorded", log::kv("cost", incumbent.g),
+                      log::kv("steps", probe_.size()),
+                      log::kv("expansions", stats.rg_expansions));
+  };
+
+  // Refinement of a goal node whose tail holds a group step: the nodes from
+  // the group step nearest the node down to the node are copied once per
+  // member, the member in place of the group step, and each copy is pushed
+  // with its exact g (its f, the state holding initially).
+  const auto split = [&](std::uint32_t node) {
+    chain_.clear();
+    std::uint32_t at = node;
+    for (; !cp_.is_group_step(pool_[at].action); at = pool_[at].parent) chain_.push_back(at);
+    const Node group = pool_[at];
+    const model::VariantGroup& variants = cp_.groups[group.action.index() - cp_.actions.size()];
+    for (const ActionId member : variants.members) {
+      auto leaf = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Node{member, group.parent, group.state});
+      for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+        pool_.push_back(Node{pool_[*it].action, leaf, pool_[*it].state});
+        leaf = static_cast<std::uint32_t>(pool_.size() - 1);
+      }
+      stats.rg_nodes += chain_.size() + 1;
+      tail_of(leaf, probe_);
+      const double g = path_cost(probe_);
+      push({g, g, leaf, true});
+      consider_incumbent(leaf, g);
+    }
+  };
 
   // One cadence for the progress observer and the stop poll; checked with a
   // single comparison per expansion so an idle observer adds nothing
@@ -69,12 +141,10 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
     // Replay the tail in the optimistic maps (Fig. 8) and prune on resource
     // failure.  The gate runs at the pop (see the header): most generated
     // nodes are never popped, and f = g + h does not depend on the replay.
-    std::vector<ActionId> tail = tail_of(cur.node);
-    if (pool_[cur.node].action.valid()) {
-      if (!replayer.replay(tail, /*from_init=*/false, options.replay_mode)) {
-        ++stats.rg_pruned_by_replay;
-        continue;
-      }
+    tail_of(cur.node, tail_);
+    if (!tail_.empty() && !replayer.replay(tail_, /*from_init=*/false, options.replay_mode)) {
+      ++stats.rg_pruned_by_replay;
+      continue;
     }
     // Stable through the child loop: store blocks never move.
     const SetId state_id = pool_[cur.node].state;
@@ -107,12 +177,15 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       }
     }
 
-    // Goal test: all propositions hold initially and the tail executes in
-    // the initial-state resource map.
+    // Goal test: all propositions hold initially and the all-ground tail
+    // executes in the initial-state resource map.  A tail with a group step
+    // is split into its members first.
     if (sorted_subset(state, cp_.init_props)) {
-      if (replayer.replay(tail, /*from_init=*/true, options.replay_mode)) {
+      if (has_group_step(tail_)) {
+        split(cur.node);
+      } else if (replayer.replay(tail_, /*from_init=*/true, options.replay_mode)) {
         Plan plan;
-        plan.steps = std::move(tail);
+        plan.steps = tail_;
         plan.cost_lb = cur.g;
         bool accepted = true;
         if (validate) {
@@ -134,57 +207,54 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       // A rejected candidate node may still have regressions worth trying
       // (e.g. produce more of a stream elsewhere), so fall through.
     }
+    if (cur.refine) continue;
 
     // Symmetry pruning state: which nodes the tail-so-far already commits to
     // (nodes of open propositions plus nodes touched by tail actions).  Any
     // transposition of two *unused* interchangeable twins fixes this whole
     // search node, so only the smallest unused twin needs to be introduced.
     const bool sym = options.symmetry_pruning && cp_.symmetric_class_count > 0;
-    std::vector<char> used;
     if (sym) {
-      used.assign(cp_.net->node_count(), 0);
-      for (PropId p : state) used[cp_.props.key(p).node] = 1;
-      for (std::uint32_t w = cur.node; pool_[w].action.valid(); w = pool_[w].parent) {
-        const model::GroundAction& act = cp_.actions[pool_[w].action.index()];
-        if (act.node.valid()) used[act.node.index()] = 1;
-        if (act.node2.valid()) used[act.node2.index()] = 1;
+      used_.assign(cp_.net->node_count(), 0);
+      for (PropId p : state) used_[cp_.props.key(p).node] = 1;
+      for (ActionId s : tail_) {
+        const model::GroundAction& act = cp_.step_action(s);
+        if (act.node.valid()) used_[act.node.index()] = 1;
+        if (act.node2.valid()) used_[act.node2.index()] = 1;
       }
     }
 
-    // Candidate actions: achievers of any unsatisfied proposition.
-    std::vector<ActionId> cands;
+    // Candidate steps: achievers of any unsatisfied proposition, one step
+    // per variant group.
+    cands_.clear();
     for (PropId p : state) {
       if (cp_.init_holds(p)) continue;
       for (ActionId a : cp_.achievers_of(p)) {
         if (!plrg_.relevant(a)) continue;
-        sorted_insert(cands, a);
+        sorted_insert(cands_, grouped ? cp_.step_of(a) : a);
       }
     }
 
-    for (ActionId a : cands) {
+    // Members of a group share sites, variables, pre and eff, so every test
+    // below gives one answer for the whole group: it runs on the
+    // representative.
+    const ActionId b = tail_.empty() ? ActionId{} : cp_.representative(tail_.front());
+    for (ActionId s : cands_) {
+      const ActionId a = cp_.representative(s);
       // Commutativity pruning: `a` executes right before this node's
       // action; if they commute (disjoint resources, neither supports the
       // other's preconditions), only the ascending-id order is explored.
       // Any plan has such a canonical reordering (adjacent independent swaps
       // preserve the replay outcome exactly), so completeness is kept while
       // the factorial interleavings of parallel stream chains collapse.
-      if (pool_[cur.node].action.valid()) {
-        const ActionId b = pool_[cur.node].action;
-        if (a > b && commute_.independent(a, b)) continue;
-      }
-      if (sym && cp_.twin_blocked(a, used)) {
+      if (b.valid() && a > b && commute_.independent(a, b)) continue;
+      if (sym && cp_.twin_blocked(a, used_)) {
         ++stats.pruned_placements;
         continue;
       }
-      if (options.forbid_repeated_actions) {
-        bool seen = false;
-        for (std::uint32_t w = cur.node; pool_[w].action.valid(); w = pool_[w].parent) {
-          if (pool_[w].action == a) {
-            seen = true;
-            break;
-          }
-        }
-        if (seen) continue;
+      if (options.forbid_repeated_actions &&
+          std::find(tail_.begin(), tail_.end(), s) != tail_.end()) {
+        continue;
       }
       model::regress(cp_, state, a, regressed_);
       const SetId nxt = store.intern(regressed_);
@@ -193,41 +263,11 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
       if (h == kInf) continue;
 
       const double g = cur.g + cost_fn_(a);
-      const std::uint32_t child = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(Node{a, cur.node, nxt});
+      const auto child = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Node{s, cur.node, nxt});
       ++stats.rg_nodes;
-      open.push({g + h, g, child});
-      if (open.size() > stats.rg_peak_open) stats.rg_peak_open = open.size();
-
-      // Anytime incumbent: a goal-satisfying child is a complete feasible
-      // plan even though A* has not proven it optimal yet (it stays in the
-      // open list until its f value surfaces).  Record the cheapest one that
-      // passes the resource gate, the initial-state replay and validation so
-      // a stop mid-proof can still answer with a plan.
-      if (!anytime || (incumbent.have && g >= incumbent.g) ||
-          !sorted_subset(store.get(nxt), cp_.init_props)) {
-        continue;
-      }
-      const std::vector<ActionId> child_tail = tail_of(child);
-      if (replayer.replay(child_tail, /*from_init=*/false, options.replay_mode) &&
-          replayer.replay(child_tail, /*from_init=*/true, options.replay_mode)) {
-        bool accepted = true;
-        if (validate) {
-          Plan candidate;
-          candidate.steps = child_tail;
-          candidate.cost_lb = g;
-          trace::Span vspan("rg.validate_incumbent", "search");
-          accepted = validate(candidate);
-        }
-        if (accepted) {
-          incumbent = {true, child, g};
-          ++stats.rg_incumbents;
-          stats.incumbent_cost = incumbent.g;
-          SEKITEI_LOG_DEBUG("core.rg", "incumbent recorded",
-                            log::kv("cost", incumbent.g), log::kv("steps", child_tail.size()),
-                            log::kv("expansions", stats.rg_expansions));
-        }
-      }
+      push({g + h, g, child, false});
+      consider_incumbent(child, g);
     }
   }
   stats.rg_open_left = open.size();
@@ -236,8 +276,8 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
   // Search cut short with an incumbent in hand: return it (guard-replayed
   // once more from the initial state) instead of discarding a feasible plan.
   if (incumbent.have && (stats.stopped || stats.hit_search_limit)) {
-    std::vector<ActionId> steps = tail_of(incumbent.node);
-    if (replayer.replay(steps, /*from_init=*/true, options.replay_mode)) {
+    tail_of(incumbent.node, probe_);
+    if (replayer.replay(probe_, /*from_init=*/true, options.replay_mode)) {
       stats.replay_calls = replayer.calls();
       stats.suboptimal_on_stop = true;
       stats.incumbent_cost = incumbent.g;
@@ -246,7 +286,7 @@ std::optional<Plan> Rg::search(const std::vector<PropId>& goal_set, const Option
                        log::kv("cost", incumbent.g), log::kv("open_lb", stats.open_cost_lb),
                        log::kv("expansions", stats.rg_expansions));
       Plan plan;
-      plan.steps = std::move(steps);
+      plan.steps = probe_;
       plan.cost_lb = incumbent.g;
       return plan;
     }

@@ -15,12 +15,29 @@
 // popped.  The open list is totally ordered (f, then larger g, then the
 // newer node), so the surviving nodes pop in the same order as if failing
 // tails had been cut at generation; a failing node is only discarded later.
-// A node stores its action, its parent and the SetId of its proposition set
+// A node stores its step, its parent and the SetId of its proposition set
 // in the plan's SetStore: the set is interned when the node is generated,
 // since its h needs it anyway, so nothing is rebuilt when the node is popped.
 // The search ends when a node's proposition set holds in the initial state
 // AND the tail replays in the initial-state resource map (plus an optional
 // external concrete validation, e.g. the simulator).
+//
+// Level variants (optimistic replay only): a compiled problem may group the
+// actions of one site that differ only in a scenario-leveled resource
+// interval and in cost (model::VariantGroup; scenario E's bandwidth levels).
+// The search then branches once per group, not once per member -- Partial-
+// Expansion A* (Yoshizumi et al., AAAI 2000) applied to level variants:
+//   * a group child adds the cheapest member's cost, so f stays admissible;
+//   * its tail replays through the group's hull intervals, which contain
+//     every member's, so the replay gate prunes only what every member fails;
+//   * a goal node whose tail holds a group step is split: one copy per
+//     member of the group step nearest the node, re-pushed with its exact g.
+//     Copies only refine (they are never expanded; the group node's own
+//     children cover every longer tail) and split again until all-ground.
+// Only an all-ground tail takes the goal test, becomes an anytime
+// incumbent or is returned, so plans hold action ids only.  Greedy
+// (WorstCase) replay branches on actions: its certain() test can fail on a
+// wider interval, so a hull does not over-approximate its members there.
 #pragma once
 
 #include <functional>
@@ -85,22 +102,32 @@ class Rg {
   /// 12 bytes: most generated nodes are never popped, so a node holds its
   /// set by id.  Its cost `g` travels in the open-list entry.
   struct Node {
-    ActionId action;           // invalid for the root
+    ActionId action;           // a step (action or group); invalid for the root
     std::uint32_t parent = 0;  // index into pool; root points to itself
     SetId state;               // propositions still to achieve
   };
   static_assert(sizeof(Node) == 12);
 
-  /// Tail of node `idx` in execution order (deepest action first).
-  [[nodiscard]] std::vector<ActionId> tail_of(std::uint32_t idx) const;
+  /// Writes the tail of node `idx` into `steps`, in execution order (the
+  /// node's own action first).
+  void tail_of(std::uint32_t idx, std::vector<ActionId>& steps) const;
+  /// g of a tail: its steps' costs (a group step at its cheapest member's)
+  /// added from the root down, in the order the search adds them.
+  [[nodiscard]] double path_cost(std::span<const ActionId> tail) const;
 
   const model::CompiledProblem& cp_;
   Slrg& slrg_;
   const Plrg& plrg_;
   CostFn cost_fn_;
   ChunkedArray<Node> pool_;
-  std::vector<PropId> regressed_;  // reused buffer for child sets
   model::Commutation commute_;
+  // Buffers reused across expansions.
+  std::vector<PropId> regressed_;  // child set
+  std::vector<ActionId> tail_;     // the popped node's tail
+  std::vector<ActionId> probe_;    // a generated node's tail (incumbents, splits)
+  std::vector<ActionId> cands_;    // candidate steps
+  std::vector<std::uint32_t> chain_;  // nodes copied by a split
+  std::vector<char> used_;         // symmetry pruning's node mask
 };
 
 }  // namespace sekitei::core

@@ -47,10 +47,8 @@ double Slrg::estimate(SetId set) {
     return std::max(base, weak);
   }
   ++memo_misses_;
-  if (generated_ >= limits_.max_sets) {
-    hit_limit_ = true;
-    return base;  // admissible fallback, not memoized as exact
-  }
+  // Admissible fallback, not memoized as exact.
+  if (generated_ >= limits_.max_sets) return base;
   // Budget policy: the first (goal) query gets a deep search — it seeds the
   // caches everything else leans on.  If even that query cannot finish, the
   // problem's logical shell is too wide for exact set costs to pay off
@@ -161,7 +159,6 @@ double Slrg::estimate(SetId set) {
           ((query_generated & 0x3ffu) == 0u && stop_.stop_requested())) {
         // The smallest f left in the open list is still an admissible bound
         // on the true logical cost (standard A* invariant).
-        if (budget_out) hit_limit_ = true;
         // Any solution either extends the node being expanded (cost >= its
         // f) or passes through the open list (cost >= min open f).
         const double frontier = open_.empty() ? cur.f : std::min(cur.f, open_.front().f);

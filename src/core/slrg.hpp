@@ -64,7 +64,9 @@ class Slrg {
 
   /// Exact minimal logical cost of achieving `set` from the initial state;
   /// +inf when logically impossible.  Falls back to the (admissible but
-  /// weaker) PLRG max estimate if the node budget is exhausted.
+  /// weaker) PLRG max estimate if the node budget is exhausted.  Every
+  /// answer is admissible, so a budget-out never makes the RG incomplete
+  /// and is not reported as a search limit.
   [[nodiscard]] double estimate(SetId set);
 
   /// Interns `set` (sorted, unique) and forwards.
@@ -79,8 +81,6 @@ class Slrg {
 
   /// The plan's set store; the RG interns its child sets here.
   [[nodiscard]] SetStore& sets() { return store_; }
-
-  [[nodiscard]] bool hit_limit() const { return hit_limit_; }
 
   /// Number of distinct set nodes ever generated (Table 2, column 7).
   [[nodiscard]] std::size_t set_count() const { return generated_; }
@@ -149,7 +149,6 @@ class Slrg {
   std::uint64_t memo_misses_ = 0;
   std::uint64_t symmetry_pruned_ = 0;
   bool first_query_ = true;
-  bool hit_limit_ = false;
 };
 
 }  // namespace sekitei::core

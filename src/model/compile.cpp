@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "support/error.hpp"
 #include "support/sorted_vec.hpp"
@@ -78,7 +79,7 @@ std::string CompiledProblem::describe(PropId p) const {
 }
 
 std::string CompiledProblem::describe(ActionId a) const {
-  const GroundAction& act = actions[a.index()];
+  const GroundAction& act = step_action(a);
   std::ostringstream os;
   if (act.kind == ActionKind::Place) {
     os << "place " << domain->component_at(act.spec_index).name << " on "
@@ -196,6 +197,7 @@ class Compiler {
     // A compiled problem is long-lived (the engine caches it and shares it
     // across workers), so its action array sheds the slack of its growth.
     cp_.actions.shrink_to_fit();
+    index_groups();
     build_initial_state();
     build_goal();
     build_achievers();
@@ -512,6 +514,7 @@ class Compiler {
     // VarIds are handed out in emission order.
     std::vector<VarId> slot_vars;
     bool bound = false;
+    const std::size_t first = cp_.actions.size();
 
     for (Odometer od(t.radices); !od.done(); od.advance()) {
       if ((++cp_.combos_considered & 1023) == 0 && stop_.stop_requested()) {
@@ -587,6 +590,69 @@ class Compiler {
 
       eval_cost(sem, post_, act);
       cp_.actions.push_back(std::move(act));
+    }
+    // Only a leveled resource slot makes variants of one logical action.
+    if (!t.leveled_res.empty()) group_variants(first);
+  }
+
+  /// Groups the site's actions [first, end) into variant groups: same
+  /// `pre`, `eff` and stream-slot intervals (the site fixes kind, spec,
+  /// nodes, link, semantics and variables).  Keeps groups of two or more.
+  void group_variants(std::size_t first) {
+    const std::vector<GroundAction>& acts = cp_.actions;
+    if (acts.size() - first < 2) return;
+    const std::vector<SlotRole>& roles = acts[first].sem->roles;
+    // Three-way comparison of the grouping key.
+    const auto key_cmp = [&](const GroundAction& x, const GroundAction& y) {
+      if (x.pre != y.pre) return x.pre < y.pre ? -1 : 1;
+      if (x.eff != y.eff) return x.eff < y.eff ? -1 : 1;
+      for (std::size_t s = 0; s < roles.size(); ++s) {
+        if (roles[s] == SlotRole::Resource) continue;
+        const auto a = std::tie(x.slot_opt[s].lo, x.slot_opt[s].hi, x.slot_opt[s].hi_open);
+        const auto b = std::tie(y.slot_opt[s].lo, y.slot_opt[s].hi, y.slot_opt[s].hi_open);
+        if (a != b) return a < b ? -1 : 1;
+      }
+      return 0;
+    };
+    std::vector<ActionId> order;
+    for (std::size_t i = first; i < acts.size(); ++i) {
+      order.emplace_back(static_cast<std::uint32_t>(i));
+    }
+    std::sort(order.begin(), order.end(), [&](ActionId a, ActionId b) {
+      const GroundAction& x = acts[a.index()];
+      const GroundAction& y = acts[b.index()];
+      if (const int c = key_cmp(x, y); c != 0) return c < 0;
+      if (x.cost_lb != y.cost_lb) return x.cost_lb < y.cost_lb;
+      return a < b;
+    });
+    for (std::size_t lo = 0, hi; lo < order.size(); lo = hi) {
+      const GroundAction& rep = acts[order[lo].index()];
+      for (hi = lo + 1; hi < order.size() && key_cmp(rep, acts[order[hi].index()]) == 0; ++hi) {
+      }
+      if (hi - lo < 2) continue;
+      VariantGroup g;
+      g.members.assign(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                       order.begin() + static_cast<std::ptrdiff_t>(hi));
+      g.hull = rep;
+      for (const ActionId m : g.members) {
+        const GroundAction& act = acts[m.index()];
+        for (std::size_t s = 0; s < roles.size(); ++s) {
+          if (roles[s] == SlotRole::Resource) {
+            g.hull.slot_opt[s] = sekitei::hull(g.hull.slot_opt[s], act.slot_opt[s]);
+          }
+        }
+        g.hull.cost_ub = std::max(g.hull.cost_ub, act.cost_ub);
+      }
+      cp_.groups.push_back(std::move(g));
+    }
+  }
+
+  void index_groups() {
+    if (cp_.groups.empty()) return;
+    cp_.groups.shrink_to_fit();
+    cp_.group_of.assign(cp_.actions.size(), CompiledProblem::kNoGroup);
+    for (std::uint32_t g = 0; g < cp_.groups.size(); ++g) {
+      for (const ActionId m : cp_.groups[g].members) cp_.group_of[m.index()] = g;
     }
   }
 

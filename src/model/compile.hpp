@@ -39,6 +39,19 @@ struct InitMapEntry {
   Interval value;
 };
 
+/// The level variants of one logical action: the actions of one site that
+/// share `pre`, `eff` and every stream slot's interval, and differ only in
+/// the intervals of scenario-leveled resource slots and in cost (scenario E
+/// splits each link crossing by bandwidth level).  `hull` is the
+/// representative with each resource slot's interval widened to the hull
+/// of the members' intervals, and the members' smallest `cost_lb`: every
+/// member's replay lies inside the hull's, so a search may branch once on
+/// the group and refine to a member later.
+struct VariantGroup {
+  std::vector<ActionId> members;  // by cost_lb, then id; members[0] is the representative
+  GroundAction hull;
+};
+
 class CompiledProblem {
  public:
   const CppProblem* problem = nullptr;
@@ -55,6 +68,15 @@ class CompiledProblem {
 
   std::vector<std::unique_ptr<CompiledSemantics>> semantics;
   std::vector<GroundAction> actions;
+
+  /// Variant groups of two or more members, beside `actions` (ids and
+  /// achievers do not see them).  Built only for templates with a
+  /// scenario-leveled resource slot, so most scenarios have none.
+  std::vector<VariantGroup> groups;
+  /// group_of[a]: index into `groups` of the group holding action a, or
+  /// kNoGroup; empty when `groups` is.
+  std::vector<std::uint32_t> group_of;
+  static constexpr std::uint32_t kNoGroup = UINT32_MAX;
 
   /// achievers[p] = actions whose effects support proposition p, including
   /// cross-level support through degradable/upgradable closure.
@@ -87,6 +109,25 @@ class CompiledProblem {
   [[nodiscard]] const std::vector<ActionId>& achievers_of(PropId p) const;
   [[nodiscard]] bool init_holds(PropId p) const;
 
+  /// Step ids name what a search branches on: an action (below
+  /// `actions.size()`) or a variant group (`actions.size()` + its index).
+  [[nodiscard]] bool is_group_step(ActionId s) const {
+    return s.valid() && s.index() >= actions.size();
+  }
+  /// The step of action `a`: its group's step when it has variants, else `a`.
+  [[nodiscard]] ActionId step_of(ActionId a) const {
+    if (group_of.empty() || group_of[a.index()] == kNoGroup) return a;
+    return ActionId(static_cast<std::uint32_t>(actions.size()) + group_of[a.index()]);
+  }
+  /// The action a step replays as: the action itself, or the group's hull.
+  [[nodiscard]] const GroundAction& step_action(ActionId s) const {
+    return is_group_step(s) ? groups[s.index() - actions.size()].hull : actions[s.index()];
+  }
+  /// The representative action of a step (the step itself when ground).
+  [[nodiscard]] ActionId representative(ActionId s) const {
+    return is_group_step(s) ? groups[s.index() - actions.size()].members.front() : s;
+  }
+
   /// Symmetry pruning's canonical-twin test: true when action `a` brings in
   /// a node that `used` (by node index) leaves unmarked while a strictly
   /// smaller twin of it, other than the action's second node, is unmarked
@@ -96,6 +137,7 @@ class CompiledProblem {
 
   /// Human-readable action rendering, e.g.
   /// "place Splitter on n0 [M:L1 -> T:L1,I:L1]" or "cross Z n0->n1 [L1->L1]".
+  /// A group step renders as its representative.
   [[nodiscard]] std::string describe(ActionId a) const;
   [[nodiscard]] std::string describe(PropId p) const;
 

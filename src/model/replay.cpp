@@ -27,7 +27,7 @@ bool Replayer::replay(std::span<const ActionId> steps, bool from_init, ReplayMod
 
 std::string Replayer::failure() const {
   const auto sem = [this]() -> const CompiledSemantics& {
-    return *cp_.actions[fault_action_.index()].sem;
+    return *cp_.step_action(fault_action_).sem;
   };
   switch (fault_) {
     case Fault::None:
@@ -65,7 +65,7 @@ bool Replayer::run(std::span<const ActionId> steps, bool from_init) {
     }
   }
   for (ActionId a : steps) {
-    if (!step<M>(cp_.actions[a.index()])) {
+    if (!step<M>(cp_.step_action(a))) {
       fault_action_ = a;
       // Trace-level because this is the searches' *normal* pruning
       // mechanism, not an anomaly; the level gate keeps the hot path at one

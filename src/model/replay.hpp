@@ -45,10 +45,11 @@ class Replayer {
  public:
   explicit Replayer(const CompiledProblem& cp) : cp_(cp) {}
 
-  /// Replays `steps` (execution order).  `from_init` preloads the initial
-  /// resource map — the final acceptance check ("the plan tail successfully
-  /// executes in the resource map of the initial state").  Returns false as
-  /// soon as an interval empties or a condition fails.
+  /// Replays `steps` (execution order); a variant-group step replays as its
+  /// group's hull (CompiledProblem::step_action).  `from_init` preloads the
+  /// initial resource map — the final acceptance check ("the plan tail
+  /// successfully executes in the resource map of the initial state").
+  /// Returns false as soon as an interval empties or a condition fails.
   [[nodiscard]] bool replay(std::span<const ActionId> steps, bool from_init, ReplayMode mode);
 
   /// The map after the last successful replay (for inspection/tests).

@@ -6,6 +6,9 @@
 #include "domains/media.hpp"
 #include "model/compile.hpp"
 #include "model/replay.hpp"
+#include "model/textio.hpp"
+#include "support/rng.hpp"
+#include "testing/workload.hpp"
 
 namespace sekitei::model {
 namespace {
@@ -181,6 +184,82 @@ TEST(Replay, ResourceMapEpochReuseIsClean) {
     }
   }
   EXPECT_FALSE(found_m_from_prev) << "I stream produced by sp leaked into the next replay";
+}
+
+/// The RG replays a variant-group step as its group's hull, so the hull
+/// must over-approximate every member: it contains each member's intervals,
+/// and a tail with each step replaced by its group step replays whenever
+/// the ground tail does (from the initial state and not from it).
+void check_hulls(const CompiledProblem& cp, std::uint64_t seed) {
+  ASSERT_FALSE(cp.groups.empty());
+  for (const VariantGroup& g : cp.groups) {
+    ASSERT_GE(g.members.size(), 2u);
+    EXPECT_EQ(g.hull.cost_lb, cp.actions[g.members.front().index()].cost_lb);
+    for (const ActionId m : g.members) {
+      const GroundAction& act = cp.actions[m.index()];
+      EXPECT_EQ(cp.group_of[m.index()], static_cast<std::uint32_t>(&g - cp.groups.data()));
+      EXPECT_EQ(act.pre, g.hull.pre);
+      EXPECT_EQ(act.eff, g.hull.eff);
+      EXPECT_EQ(act.slot_vars, g.hull.slot_vars);
+      EXPECT_LE(g.hull.cost_lb, act.cost_lb);
+      for (std::size_t s = 0; s < act.slot_opt.size(); ++s) {
+        EXPECT_TRUE(g.hull.slot_opt[s].contains(act.slot_opt[s]))
+            << cp.describe(m) << " slot " << s << ": " << g.hull.slot_opt[s].str() << " vs "
+            << act.slot_opt[s].str();
+      }
+    }
+  }
+
+  SplitMix64 rng(seed);
+  Replayer ground(cp);
+  Replayer hulls(cp);
+  std::vector<ActionId> tail, lifted;
+  std::uint32_t replayed[2] = {0, 0};
+  for (int trial = 0; trial < 10000; ++trial) {
+    tail.clear();
+    lifted.clear();
+    const std::uint64_t len = 1 + rng.next_below(5);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      ActionId a(static_cast<std::uint32_t>(rng.next_below(cp.actions.size())));
+      if (rng.chance(0.5)) {  // most actions have no variants: favour those that do
+        const VariantGroup& g = cp.groups[rng.next_below(cp.groups.size())];
+        a = g.members[rng.next_below(g.members.size())];
+      }
+      tail.push_back(a);
+      lifted.push_back(cp.step_of(a));
+    }
+    for (const bool from_init : {false, true}) {
+      if (!ground.replay(tail, from_init, ReplayMode::Optimistic)) continue;
+      ++replayed[from_init ? 1 : 0];
+      EXPECT_TRUE(hulls.replay(lifted, from_init, ReplayMode::Optimistic))
+          << "trial " << trial << (from_init ? " from init: " : ": ") << hulls.failure();
+    }
+  }
+  EXPECT_GT(replayed[0], 300u);
+  EXPECT_GT(replayed[1], 300u);
+}
+
+TEST(Replay, VariantHullsOverApproximateMediaE) {
+  const auto tiny = domains::media::tiny();
+  check_hulls(model::compile(tiny->problem, scenario('E')), 7);
+  const auto small = domains::media::small();
+  check_hulls(model::compile(small->problem, scenario('E')), 7);
+}
+
+TEST(Replay, VariantHullsOverApproximateGeneratedInstance) {
+  // The first generated instance that levels link bandwidth and yields
+  // variant groups.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const testing::GenInstance gen = testing::generate(seed);
+    if (gen.link_cuts.empty()) continue;
+    const auto lp = model::load_problem(gen.domain_text(), gen.problem_text());
+    const CompiledProblem cp = model::compile(lp->problem, lp->scenario);
+    if (cp.groups.empty()) continue;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    check_hulls(cp, seed);
+    return;
+  }
+  FAIL() << "no generated instance with variant groups";
 }
 
 }  // namespace

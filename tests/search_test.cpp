@@ -312,6 +312,29 @@ TEST(Rg, NoPlanWhenDemandExceedsProduction) {
   Sekitei planner(cp);
   auto r = planner.plan();
   EXPECT_FALSE(r.ok());
+  // Under scenario C the 200 units reach the top level [100, inf), so the
+  // goal is logically reachable and only the resource replay refutes it.
+  // An SLRG out of budget still answers admissibly, so the RG's exhausted
+  // open list proves infeasibility; it is not a search limit.
+  auto tiny = domains::media::tiny(p);
+  const auto cp_c = model::compile(tiny->problem, scenario('C'));
+  PlannerOptions starved;
+  starved.max_slrg_sets = 1;
+  const PlanResult s = Sekitei(cp_c, starved).plan();
+  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(s.stats.hit_search_limit);
+  EXPECT_EQ(s.failure, "no resource-feasible plan exists under the given levels");
+}
+
+TEST(Rg, SlrgBudgetOutIsNotASearchLimit) {
+  // Large/C's SLRG queries run out of budget; the solve is still complete.
+  auto inst = domains::media::large();
+  auto cp = model::compile(inst->problem, scenario('C'));
+  Sekitei planner(cp);
+  sim::Executor exec(cp);
+  const PlanResult r = planner.plan([&](const Plan& p) { return exec.execute(p).feasible; });
+  ASSERT_TRUE(r.ok()) << r.failure;
+  EXPECT_FALSE(r.stats.hit_search_limit);
 }
 
 TEST(Rg, SearchLimitReportsGracefully) {
@@ -375,6 +398,49 @@ TEST(Rg, SmallCExactCountsArePinned) {
   EXPECT_EQ(r.stats.rg_expansions, 2024u);
   EXPECT_EQ(r.stats.rg_nodes, 16641u);
   EXPECT_EQ(r.stats.replay_calls, 2071u);
+}
+
+TEST(Rg, ScenarioEBranchesLikeD) {
+  // E splits each link crossing by bandwidth level; the RG branches once
+  // per variant group and refines to actions only at the goal, so E costs
+  // about what D costs (ungrouped, E made 479,387 nodes against D's 16,641).
+  auto inst = domains::media::small();
+  const auto cp_d = model::compile(inst->problem, scenario('D'));
+  const auto cp_e = model::compile(inst->problem, scenario('E'));
+  ASSERT_TRUE(cp_d.groups.empty());
+  ASSERT_FALSE(cp_e.groups.empty());
+  const PlanResult d = plan_validated(cp_d);
+  const PlanResult e = plan_validated(cp_e);
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(e.stats.rg_expansions, 1708u);
+  EXPECT_EQ(e.stats.rg_nodes, 14481u);
+  EXPECT_LE(e.stats.rg_expansions, 2 * d.stats.rg_expansions);
+  EXPECT_LE(e.stats.rg_nodes, 2 * d.stats.rg_nodes);
+  EXPECT_NEAR(e.plan->cost_lb, d.plan->cost_lb, 1e-9);
+  double sum = 0.0;
+  for (ActionId a : e.plan->steps) {
+    ASSERT_LT(a.index(), cp_e.actions.size());
+    sum += cp_e.actions[a.index()].cost_lb;
+  }
+  EXPECT_NEAR(sum, e.plan->cost_lb, 1e-9);
+}
+
+TEST(Rg, GreedySmallEBranchesOnActions) {
+  // Worst-case replay is not monotone in the intervals, so greedy mode
+  // branches on actions, not on variant groups: the ungrouped counts.
+  auto inst = domains::media::small();
+  const auto cp = model::compile(inst->problem, scenario('E'));
+  PlannerOptions opt;
+  opt.mode = PlannerOptions::Mode::Greedy;
+  opt.max_rg_expansions = 20000;
+  const PlanResult r = plan_validated(cp, opt);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.stats.hit_search_limit);
+  EXPECT_EQ(r.stats.rg_expansions, 20001u);
+  EXPECT_EQ(r.stats.rg_nodes, 255078u);
+  EXPECT_EQ(r.stats.replay_calls, 99103u);
+  EXPECT_EQ(r.stats.slrg_sets, 37529u);
 }
 
 TEST(Rg, ReplayGatePrunesResourceInfeasibleTails) {
